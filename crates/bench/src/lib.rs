@@ -1,7 +1,7 @@
 //! # mltcp-bench
 //!
-//! The benchmark harness: one binary per paper figure/claim (see
-//! `src/bin/`) plus Criterion micro/macro benches (`benches/`).
+//! The experiment harness: one binary per paper figure/claim (see
+//! `src/bin/`). The speed benchmark is `perfbench/` at the repo root.
 //!
 //! Figure binaries print human-readable tables/series to stdout and write
 //! machine-readable JSON under `results/` (created on demand). They are

@@ -5,19 +5,12 @@
 //! insertion order, which makes the whole simulation reproducible
 //! bit-for-bit regardless of the engine's internals.
 //!
-//! Two engines implement that contract (selected by [`EngineKind`]):
-//!
-//! * **Heap** — a plain binary min-heap, the reference implementation.
-//!   Every operation is `O(log n)` in the standing event population,
-//!   which on packet workloads is dominated by in-flight deliveries and
-//!   lazily-cancelled RTO timers.
-//! * **Wheel** — a timing wheel plus per-link *rails*, the default. The
-//!   wheel gives `O(1)` inserts for timers/messages/faults; the rails
-//!   exploit link serialization order so per-packet events never touch a
-//!   heap at all (see below). Pop order is identical to the heap engine:
-//!   both consume the same sequence counter at the same call sites, and
-//!   the global pop takes the `(time, seq)`-minimum across sub-queues.
-//!   `engine_equivalence` proptests pin this.
+//! The engine is a timing wheel plus per-link *rails*. The wheel gives
+//! `O(1)` inserts for timers/messages/faults; the rails exploit link
+//! serialization order so per-packet events never touch a heap at all
+//! (see below). The global pop takes the `(time, seq)`-minimum across
+//! the two. `tests/reference_queue.rs` pins the pop order against a
+//! plain `BinaryHeap` reference model.
 //!
 //! ## The timing wheel
 //!
@@ -51,8 +44,8 @@
 //!
 //! ## Event size
 //!
-//! Heap sifts copy whole [`Event`]s, so [`EventKind::Deliver`] boxes its
-//! payload to pin `size_of::<Event>()` at 40 bytes (test-enforced by
+//! The wheel's heaps sift whole events, so [`EventKind::Deliver`] boxes
+//! its payload to pin `size_of::<Event>()` at 40 bytes (test-enforced by
 //! `event_size_stays_small`); the queue recycles the boxes through an
 //! internal free list so steady-state delivery costs no allocation. The
 //! rails store the
@@ -73,7 +66,6 @@ use crate::packet::Packet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::OnceLock;
 
 /// A packet in flight: the payload of [`EventKind::Deliver`].
 ///
@@ -133,15 +125,15 @@ pub enum EventKind {
     },
 }
 
-/// A scheduled event.
+/// A scheduled event, as the wheel stores it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
+struct Event {
     /// When the event fires.
-    pub at: SimTime,
+    at: SimTime,
     /// Insertion sequence number (tie-break).
-    pub seq: u64,
+    seq: u64,
     /// The action.
-    pub kind: EventKind,
+    kind: EventKind,
 }
 
 impl Ord for Event {
@@ -163,11 +155,11 @@ impl PartialOrd for Event {
 /// A popped event with its delivery payload inline — what
 /// [`EventQueue::pop_event`] returns to the simulator's dispatcher.
 ///
-/// [`Event`] boxes deliveries so heap sifts stay cheap, but the
+/// The wheel boxes deliveries so its heap sifts stay cheap, but the
 /// *dispatcher* wants the payload by value (it consumes the delivery
-/// immediately). Returning this shape lets the wheel's rails hand their
-/// inline payload straight through — no box round-trip on the hottest
-/// path — while the heap engine unboxes once and recycles internally.
+/// immediately). Returning this shape lets the rails hand their inline
+/// payload straight through — no box round-trip on the hottest path —
+/// while wheel events are unboxed once and the box recycled internally.
 #[derive(Debug)]
 pub struct Popped {
     /// When the event fired.
@@ -210,41 +202,6 @@ pub enum PoppedKind {
         /// Index into the simulator's installed-fault table.
         index: u32,
     },
-}
-
-/// Which event-engine implementation a queue uses. Both produce
-/// bit-for-bit identical pop orders; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The reference binary min-heap.
-    Heap,
-    /// Timing wheel + link rails (the default).
-    Wheel,
-}
-
-static ENGINE_FROM_ENV: OnceLock<EngineKind> = OnceLock::new();
-
-impl EngineKind {
-    /// The engine selected by the `MLTCP_ENGINE` environment variable
-    /// (`"heap"` or `"wheel"`), defaulting to [`EngineKind::Wheel`].
-    ///
-    /// The lookup is cached for the process lifetime, so every simulator
-    /// in a run — including sweep workers on other threads — sees the
-    /// same engine even if the environment is mutated mid-process.
-    pub fn from_env() -> Self {
-        *ENGINE_FROM_ENV.get_or_init(|| match std::env::var("MLTCP_ENGINE").as_deref() {
-            Ok("heap") => EngineKind::Heap,
-            _ => EngineKind::Wheel,
-        })
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Heap => "heap",
-            EngineKind::Wheel => "wheel",
-        }
-    }
 }
 
 /// log2 of the wheel bucket width in nanoseconds (4.096 µs buckets).
@@ -623,16 +580,12 @@ impl Rails {
     }
 }
 
-/// The simulation's event queue. See the module docs for the two
-/// engines and their shared determinism contract.
+/// The simulation's event queue. See the module docs for its structure
+/// and determinism contract.
 #[derive(Debug)]
 pub struct EventQueue {
-    engine: EngineKind,
     next_seq: u64,
     len: usize,
-    /// The entire queue under [`EngineKind::Heap`]; unused by the wheel
-    /// engine (which has its own overflow heap inside [`Wheel`]).
-    heap: BinaryHeap<Event>,
     wheel: Wheel,
     rails: Rails,
     /// Recycled `Deliver` boxes; bounded by the peak number of in-flight
@@ -648,28 +601,15 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue on the environment-selected engine
-    /// ([`EngineKind::from_env`]).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_engine(EngineKind::from_env())
-    }
-
-    /// An empty queue on an explicit engine.
-    pub fn with_engine(engine: EngineKind) -> Self {
         Self {
-            engine,
             next_seq: 0,
             len: 0,
-            heap: BinaryHeap::new(),
             wheel: Wheel::new(),
             rails: Rails::default(),
             pool: Vec::new(),
         }
-    }
-
-    /// The engine this queue runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     fn bump(&mut self) -> u64 {
@@ -694,7 +634,7 @@ impl EventQueue {
         }
     }
 
-    /// Converts a heap/wheel [`Event`] into a [`Popped`], returning any
+    /// Converts a wheel [`Event`] into a [`Popped`], returning any
     /// delivery box to the pool.
     fn unbox(&mut self, e: Event) -> Popped {
         let kind = match e.kind {
@@ -719,43 +659,36 @@ impl EventQueue {
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.bump();
         self.len += 1;
-        match self.engine {
-            EngineKind::Heap => self.heap.push(Event { at, seq, kind }),
-            EngineKind::Wheel => match kind {
-                EventKind::ChannelIdle { link } if Self::railable(link) => {
-                    let li = link.index();
-                    self.rails.ensure(li);
-                    if self.rails.departure_slot_free(li) {
-                        self.rails.push_departure(li, at, seq);
-                    } else {
-                        let kind = EventKind::ChannelIdle { link };
-                        self.wheel.push(Event { at, seq, kind });
-                    }
+        match kind {
+            EventKind::ChannelIdle { link } if Self::railable(link) => {
+                let li = link.index();
+                self.rails.ensure(li);
+                if self.rails.departure_slot_free(li) {
+                    self.rails.push_departure(li, at, seq);
+                } else {
+                    let kind = EventKind::ChannelIdle { link };
+                    self.wheel.push(Event { at, seq, kind });
                 }
-                EventKind::Deliver(b) if Self::railable(b.via) => {
-                    let li = b.via.index();
-                    self.rails.ensure(li);
-                    if self.rails.delivery_in_order(li, at, seq) {
-                        let d = *b;
-                        self.pool.push(b);
-                        self.rails.push_delivery(li, at, seq, d);
-                    } else {
-                        let kind = EventKind::Deliver(b);
-                        self.wheel.push(Event { at, seq, kind });
-                    }
+            }
+            EventKind::Deliver(b) if Self::railable(b.via) => {
+                let li = b.via.index();
+                self.rails.ensure(li);
+                if self.rails.delivery_in_order(li, at, seq) {
+                    let d = *b;
+                    self.pool.push(b);
+                    self.rails.push_delivery(li, at, seq, d);
+                } else {
+                    let kind = EventKind::Deliver(b);
+                    self.wheel.push(Event { at, seq, kind });
                 }
-                other => self.wheel.push(Event {
-                    at,
-                    seq,
-                    kind: other,
-                }),
-            },
+            }
+            kind => self.wheel.push(Event { at, seq, kind }),
         }
     }
 
-    /// Schedules a packet delivery — the per-packet hot path. On the
-    /// wheel engine an in-order link delivery rides the rail with its
-    /// payload inline, skipping the box entirely.
+    /// Schedules a packet delivery — the per-packet hot path. An
+    /// in-order link delivery rides the rail with its payload inline,
+    /// skipping the box entirely.
     pub fn schedule_delivery(
         &mut self,
         at: SimTime,
@@ -772,7 +705,7 @@ impl EventQueue {
             epoch,
             pkt,
         };
-        if self.engine == EngineKind::Wheel && Self::railable(via) {
+        if Self::railable(via) {
             let li = via.index();
             self.rails.ensure(li);
             if self.rails.delivery_in_order(li, at, seq) {
@@ -780,65 +713,38 @@ impl EventQueue {
                 return;
             }
         }
-        let b = self.boxed(d);
-        let kind = EventKind::Deliver(b);
-        match self.engine {
-            EngineKind::Heap => self.heap.push(Event { at, seq, kind }),
-            EngineKind::Wheel => self.wheel.push(Event { at, seq, kind }),
-        }
+        let kind = EventKind::Deliver(self.boxed(d));
+        self.wheel.push(Event { at, seq, kind });
     }
 
     /// Removes and returns the earliest event with its payload inline —
     /// the dispatcher's pop (see [`Popped`]).
     pub fn pop_event(&mut self) -> Option<Popped> {
-        let e = self.pop_inner()?;
-        self.len -= 1;
-        if self.len == 0 {
-            self.maybe_release();
-        }
-        Some(e)
+        self.pop_event_before(SimTime::MAX)
     }
 
-    /// Removes and returns the earliest event (boxed [`Event`] shape,
-    /// for callers that store or compare events).
-    pub fn pop(&mut self) -> Option<Event> {
-        let p = self.pop_event()?;
-        let kind = match p.kind {
-            PoppedKind::Deliver(d) => EventKind::Deliver(self.boxed(d)),
-            PoppedKind::ChannelIdle { link } => EventKind::ChannelIdle { link },
-            PoppedKind::Timer { agent, token } => EventKind::Timer { agent, token },
-            PoppedKind::Message { to, from, token } => EventKind::Message { to, from, token },
-            PoppedKind::Fault { index } => EventKind::Fault { index },
+    /// Like [`EventQueue::pop_event`], but only if the earliest event
+    /// fires at or before `deadline`; later events stay queued.
+    ///
+    /// Peek and pop are fused: the run loop calls this once per event,
+    /// so the min-across-sources comparison happens exactly once.
+    pub fn pop_event_before(&mut self, deadline: SimTime) -> Option<Popped> {
+        let (at, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
+            (Some(w), Some(r)) => {
+                if r < w {
+                    (r.0, true)
+                } else {
+                    (w.0, false)
+                }
+            }
+            (None, Some(r)) => (r.0, true),
+            (Some(w), None) => (w.0, false),
+            (None, None) => return None,
         };
-        Some(Event {
-            at: p.at,
-            seq: p.seq,
-            kind,
-        })
-    }
-
-    fn pop_inner(&mut self) -> Option<Popped> {
-        match self.engine {
-            EngineKind::Heap => {
-                let e = self.heap.pop()?;
-                Some(self.unbox(e))
-            }
-            EngineKind::Wheel => {
-                let take_rail = match (self.wheel.peek_key(), self.rails.peek_key()) {
-                    (Some(w), Some(r)) => r < w,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (None, None) => return None,
-                };
-                Some(self.pop_wheel_source(take_rail))
-            }
+        if at > deadline {
+            return None;
         }
-    }
-
-    /// Pops from the chosen wheel-engine source (`true` = rails). The
-    /// caller has already established the source is non-empty.
-    fn pop_wheel_source(&mut self, take_rail: bool) -> Popped {
-        if take_rail {
+        let p = if take_rail {
             let (at, seq, item) = self.rails.pop_min().expect("rail head exists");
             let kind = match item {
                 RailItem::Departure(link) => PoppedKind::ChannelIdle { link },
@@ -848,72 +754,12 @@ impl EventQueue {
         } else {
             let e = self.wheel.pop().expect("wheel head exists");
             self.unbox(e)
-        }
-    }
-
-    /// Like [`EventQueue::pop_event`], but only if the earliest event
-    /// fires at or before `deadline`; later events stay queued.
-    ///
-    /// Peek and pop are fused: the run loop calls this once per event,
-    /// so the min-across-sources comparison happens exactly once instead
-    /// of once in `peek_time` and again in the pop.
-    pub fn pop_event_before(&mut self, deadline: SimTime) -> Option<Popped> {
-        let p = match self.engine {
-            EngineKind::Heap => {
-                if self.heap.peek()?.at > deadline {
-                    return None;
-                }
-                let e = self.heap.pop().expect("peeked");
-                self.unbox(e)
-            }
-            EngineKind::Wheel => {
-                let (key, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
-                    (Some(w), Some(r)) => {
-                        if r < w {
-                            (r, true)
-                        } else {
-                            (w, false)
-                        }
-                    }
-                    (None, Some(r)) => (r, true),
-                    (Some(w), None) => (w, false),
-                    (None, None) => return None,
-                };
-                if key.0 > deadline {
-                    return None;
-                }
-                self.pop_wheel_source(take_rail)
-            }
         };
         self.len -= 1;
         if self.len == 0 {
             self.maybe_release();
         }
         Some(p)
-    }
-
-    /// Removes and returns the earliest event if it fires at or before
-    /// `deadline`; later events stay queued.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
-        if self.peek_time()? > deadline {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Timestamp of the earliest pending event. Takes `&mut self`: the
-    /// wheel engine may advance its cursor to find the minimum (which
-    /// never changes what will be popped, only where it is staged).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match self.engine {
-            EngineKind::Heap => self.heap.peek().map(|e| e.at),
-            EngineKind::Wheel => match (self.wheel.peek_key(), self.rails.peek_key()) {
-                (Some(w), Some(r)) => Some(w.min(r).0),
-                (Some(w), None) => Some(w.0),
-                (None, Some(r)) => Some(r.0),
-                (None, None) => None,
-            },
-        }
     }
 
     /// Number of pending events.
@@ -929,15 +775,12 @@ impl EventQueue {
     /// Approximate retained capacity, in event-sized slots — the
     /// observable the capacity-release tests bound.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity() + self.wheel.capacity() + self.rails.capacity() + self.pool.len()
+        self.wheel.capacity() + self.rails.capacity() + self.pool.len()
     }
 
     /// Releases oversized internal buffers (see module docs). Called
     /// automatically whenever the queue drains; harmless mid-run.
     pub fn shrink_to_fit(&mut self) {
-        if self.heap.capacity() > KEEP_CAPACITY {
-            self.heap.shrink_to_fit();
-        }
         self.wheel.release();
         self.rails.release();
         if self.pool.len() > KEEP_CAPACITY {
@@ -961,14 +804,21 @@ mod tests {
         EventKind::Timer { agent, token }
     }
 
-    fn engines() -> [EngineKind; 2] {
-        [EngineKind::Heap, EngineKind::Wheel]
+    /// Drains `q`, returning each event's token (timers only).
+    fn tokens(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop_event())
+            .map(|e| match e.kind {
+                PoppedKind::Timer { token, .. } => token,
+                _ => unreachable!(),
+            })
+            .collect()
     }
 
     #[test]
     fn event_size_stays_small() {
-        // Heap sifts copy whole events; a fat event (e.g. an inline
-        // ~56-byte packet) multiplies the event loop's memory traffic.
+        // The wheel's heaps sift whole events; a fat event (e.g. an
+        // inline ~56-byte packet) multiplies the event loop's memory
+        // traffic.
         assert!(
             std::mem::size_of::<Event>() <= 40,
             "Event grew to {} bytes",
@@ -977,261 +827,113 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_deadline() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(SimTime(10), timer(0, 1));
-            q.schedule(SimTime(20), timer(0, 2));
-            q.schedule(SimTime(20), timer(0, 3));
-            q.schedule(SimTime(30), timer(0, 4));
-            assert!(q.pop_before(SimTime(5)).is_none());
-            assert_eq!(q.pop_before(SimTime(20)).unwrap().at, SimTime(10));
-            // Deadline is inclusive, ties still pop in insertion order.
-            let e2 = q.pop_before(SimTime(20)).unwrap();
-            let e3 = q.pop_before(SimTime(20)).unwrap();
-            assert!(e2.seq < e3.seq);
-            assert!(q.pop_before(SimTime(20)).is_none());
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_before(SimTime::MAX).unwrap().at, SimTime(30));
-            assert!(q.pop_before(SimTime::MAX).is_none());
-        }
+    fn pop_event_before_respects_deadline() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), timer(0, 1));
+        q.schedule(SimTime(20), timer(0, 2));
+        q.schedule(SimTime(20), timer(0, 3));
+        q.schedule(SimTime(30), timer(0, 4));
+        assert!(q.pop_event_before(SimTime(5)).is_none());
+        assert_eq!(q.pop_event_before(SimTime(20)).unwrap().at, SimTime(10));
+        // Deadline is inclusive, ties still pop in insertion order.
+        let e2 = q.pop_event_before(SimTime(20)).unwrap();
+        let e3 = q.pop_event_before(SimTime(20)).unwrap();
+        assert!(e2.seq < e3.seq);
+        assert!(q.pop_event_before(SimTime(20)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_event_before(SimTime::MAX).unwrap().at, SimTime(30));
+        assert!(q.pop_event_before(SimTime::MAX).is_none());
     }
 
     #[test]
     fn pops_in_time_order() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            q.schedule(SimTime(30), timer(0, 3));
-            q.schedule(SimTime(10), timer(0, 1));
-            q.schedule(SimTime(20), timer(0, 2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(30), timer(0, 3));
+        q.schedule(SimTime(10), timer(0, 1));
+        q.schedule(SimTime(20), timer(0, 2));
+        assert_eq!(tokens(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            for token in 0..100 {
-                q.schedule(SimTime(5), timer(0, token));
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { token, .. } => token,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for token in 0..100 {
+            q.schedule(SimTime(5), timer(0, token));
         }
+        assert_eq!(tokens(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn far_future_events_cross_the_wheel_horizon() {
         // Spans several horizons (8.4 ms each) plus near-term events, so
         // buckets, overflow refill, and cursor jumps all exercise.
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            let times = [
-                0u64,
-                1,
-                5_000,
-                4_100_000, // a bucket boundary region
-                8_400_000, // ~ horizon
-                8_400_001,
-                100_000_000,   // far overflow
-                3_000_000_000, // seconds out
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime(t), timer(0, i as u64));
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            let mut sorted = times.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(order, sorted, "engine {engine:?}");
+        let mut q = EventQueue::new();
+        let times = [
+            0u64,
+            1,
+            5_000,
+            4_100_000, // a bucket boundary region
+            8_400_000, // ~ horizon
+            8_400_001,
+            100_000_000,   // far overflow
+            3_000_000_000, // seconds out
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime(t), timer(0, i as u64));
         }
-    }
-
-    #[test]
-    fn peek_time_tracks_minimum() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime(42), timer(0, 0));
-            q.schedule(SimTime(7), timer(0, 1));
-            assert_eq!(q.peek_time(), Some(SimTime(7)));
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime(42)));
-        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_event())
+            .map(|e| e.at.0)
+            .collect();
+        let mut sorted = times.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted);
     }
 
     #[test]
     fn len_and_is_empty() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            assert!(q.is_empty());
-            q.schedule(SimTime(1), timer(0, 0));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(SimTime(1), timer(0, 0));
+        assert_eq!(q.len(), 1);
+        q.pop_event();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn drain_releases_capacity() {
-        for engine in engines() {
-            let mut q = EventQueue::with_engine(engine);
-            for i in 0..100_000u64 {
-                q.schedule(SimTime(i * 13 % 50_000), timer(0, i));
-            }
-            assert!(q.capacity() >= 50_000, "queue should have grown");
-            while q.pop().is_some() {}
-            assert!(
-                q.capacity() <= 4 * KEEP_CAPACITY,
-                "engine {engine:?} retained {} slots after drain",
-                q.capacity()
-            );
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.schedule(SimTime(i * 13 % 50_000), timer(0, i));
         }
+        assert!(q.capacity() >= 50_000, "queue should have grown");
+        while q.pop_event().is_some() {}
+        assert!(
+            q.capacity() <= 4 * KEEP_CAPACITY,
+            "retained {} slots after drain",
+            q.capacity()
+        );
     }
 
-    /// A deterministic mixed workload for the equivalence tests: link
-    /// traffic (in-order and deliberately out-of-order deliveries,
-    /// paired and duplicate departures), timers near and far, and
-    /// interleaved pops.
-    fn mixed_op(i: u64) -> (u64, u8) {
-        // Simple LCG so the pattern is fixed but irregular.
-        let x = i
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (x >> 16, (x >> 8) as u8)
-    }
-
-    #[test]
-    fn engines_pop_identically_on_mixed_traffic() {
-        use crate::packet::FlowId;
-        let run = |engine: EngineKind| -> Vec<(u64, u64, String)> {
-            let mut q = EventQueue::with_engine(engine);
-            let mut out = Vec::new();
-            let mut t = 0u64;
-            for i in 0..4_000u64 {
-                let (r, op) = mixed_op(i);
-                t += r % 5_000; // mostly forward, frequent ties via %
-                let at = SimTime(t - t % 3); // force some equal stamps
-                match op % 8 {
-                    0 | 1 => q.schedule(
-                        at,
-                        EventKind::ChannelIdle {
-                            link: LinkId((r % 4) as u32),
-                        },
-                    ),
-                    2..=4 => {
-                        let d = Delivery {
-                            node: NodeId(1),
-                            via: LinkId((r % 4) as u32),
-                            epoch: 0,
-                            pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), i * 100, 100),
-                        };
-                        // Out-of-order arrivals (earlier than the rail
-                        // tail) exercise the wheel fallback.
-                        let at = if op % 16 < 2 { SimTime(t / 2) } else { at };
-                        q.schedule(at, EventKind::Deliver(Box::new(d)));
-                    }
-                    5 => q.schedule(SimTime(t + 50_000_000), timer(0, i)), // overflow range
-                    6 => q.schedule(at, timer(0, i)),
-                    _ => {
-                        if let Some(e) = q.pop() {
-                            out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                        }
-                    }
-                }
-            }
-            while let Some(e) = q.pop() {
-                out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-            }
-            out
-        };
-        let heap = run(EngineKind::Heap);
-        let wheel = run(EngineKind::Wheel);
-        assert_eq!(heap.len(), wheel.len());
-        for (i, (h, w)) in heap.iter().zip(wheel.iter()).enumerate() {
-            assert_eq!(h, w, "divergence at pop {i}");
-        }
-    }
-
-    #[cfg(test)]
     mod props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             /// Popping always yields a non-decreasing time sequence, and
-            /// equal-time events preserve insertion order — on both
-            /// engines.
+            /// equal-time events preserve insertion order.
             #[test]
             fn total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-                for engine in engines() {
-                    let mut q = EventQueue::with_engine(engine);
-                    for (i, &t) in times.iter().enumerate() {
-                        q.schedule(SimTime(t), timer(0, i as u64));
-                    }
-                    let mut prev: Option<Event> = None;
-                    while let Some(e) = q.pop() {
-                        if let Some(p) = &prev {
-                            prop_assert!(p.at <= e.at);
-                            if p.at == e.at {
-                                prop_assert!(p.seq < e.seq);
-                            }
-                        }
-                        prev = Some(e);
-                    }
+                let mut q = EventQueue::new();
+                for (i, &t) in times.iter().enumerate() {
+                    q.schedule(SimTime(t), timer(0, i as u64));
                 }
-            }
-
-            /// Satellite: wheel-vs-heap pop-order equivalence on random
-            /// insert/pop interleavings. `ops` drives both an insert
-            /// schedule (with same-timestamp ties and a wheel-horizon
-            /// time spread) and interleaved pops; the two engines must
-            /// produce identical `(time, seq, kind)` streams.
-            #[test]
-            fn engine_equivalence(ops in proptest::collection::vec((0u64..30_000_000, 0u8..10), 1..300)) {
-                let run = |engine: EngineKind| -> Vec<(u64, u64, String)> {
-                    let mut q = EventQueue::with_engine(engine);
-                    let mut out = Vec::new();
-                    for (i, &(t, op)) in ops.iter().enumerate() {
-                        // Quantize times so ties are common.
-                        let at = SimTime(t - t % 1000);
-                        match op {
-                            0..=2 => q.schedule(at, timer(0, i as u64)),
-                            3 | 4 => q.schedule(at, EventKind::ChannelIdle { link: LinkId((op % 3) as u32) }),
-                            5 | 6 => {
-                                use crate::packet::FlowId;
-                                let d = Delivery {
-                                    node: NodeId(1),
-                                    via: LinkId((op % 3) as u32),
-                                    epoch: 0,
-                                    pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100),
-                                };
-                                q.schedule(at, EventKind::Deliver(Box::new(d)));
-                            }
-                            7 => q.schedule(at, EventKind::Message { to: 0, from: 1, token: i as u64 }),
-                            _ => {
-                                if let Some(e) = q.pop() {
-                                    out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                                }
-                            }
-                        }
+                let mut prev: Option<(SimTime, u64)> = None;
+                while let Some(e) = q.pop_event() {
+                    if let Some(p) = prev {
+                        prop_assert!(p < (e.at, e.seq));
                     }
-                    while let Some(e) = q.pop() {
-                        out.push((e.at.0, e.seq, format!("{:?}", e.kind)));
-                    }
-                    out
-                };
-                prop_assert_eq!(run(EngineKind::Heap), run(EngineKind::Wheel));
+                    prev = Some((e.at, e.seq));
+                }
             }
         }
     }

@@ -20,7 +20,7 @@
 //!   flow.
 //! * All ties are broken deterministically (see [`crate::event`]).
 
-use crate::event::{EngineKind, EventKind, EventQueue, Popped, PoppedKind};
+use crate::event::{EventKind, EventQueue, Popped, PoppedKind};
 use crate::fault::{FaultAction, FaultPlan, LossModel, LossState};
 use crate::link::LinkId;
 use crate::node::{NodeId, NodeKind};
@@ -470,17 +470,8 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator over a routed topology with a deterministic
-    /// seed, on the environment-selected event engine
-    /// ([`EngineKind::from_env`]).
+    /// seed.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_engine(topo, seed, EngineKind::from_env())
-    }
-
-    /// Creates a simulator on an explicit event engine. Both engines
-    /// produce bit-for-bit identical runs (see [`crate::event`]); the
-    /// choice only affects wall-clock speed, which is why cross-engine
-    /// replay-hash checks are meaningful.
-    pub fn with_engine(topo: Topology, seed: u64, engine: EngineKind) -> Self {
         let queues: Vec<_> = topo.channels.iter().map(|c| c.spec.queue.build()).collect();
         let traces = (0..topo.channels.len()).map(|_| None).collect();
         let flow_tables = vec![Vec::new(); topo.nodes.len()];
@@ -495,7 +486,7 @@ impl Simulator {
         Self {
             core: SimCore {
                 now: SimTime::ZERO,
-                events: EventQueue::with_engine(engine),
+                events: EventQueue::new(),
                 topo,
                 queues,
                 traces,
@@ -512,11 +503,6 @@ impl Simulator {
             started: false,
             profiler: None,
         }
-    }
-
-    /// The event engine this simulator runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.core.events.engine()
     }
 
     /// Approximate retained capacity of the event queue, in event-sized
@@ -590,7 +576,7 @@ impl Simulator {
     /// Enables the sim-time profiler: every subsequent dispatch is
     /// timed with a wall clock and attributed to its event kind. This
     /// costs two `Instant` reads per event, so it is off by default and
-    /// intended for `perf_report`-style diagnosis, not routine runs. It
+    /// intended for per-layer diagnosis (`perfbench`), not routine runs. It
     /// never affects simulation results — only wall-clock accounting.
     pub fn enable_profiler(&mut self) {
         self.profiler = Some(SimProfiler::new(&PROFILE_LABELS));
@@ -774,17 +760,14 @@ impl Simulator {
         }
     }
 
-    /// Pops one event, attributing the pop's wall-clock to the `sched`
-    /// profiler label when profiling (only successful pops are recorded,
-    /// so `sched.events` matches the dispatched-event count).
-    fn profiled_pop(&mut self, deadline: Option<SimTime>) -> Option<Popped> {
-        let pop = |core: &mut SimCore| match deadline {
-            Some(d) => core.events.pop_event_before(d),
-            None => core.events.pop_event(),
-        };
+    /// Pops the next event if it fires at or before `deadline`,
+    /// attributing the pop's wall-clock to the `sched` profiler label
+    /// when profiling (only successful pops are recorded, so
+    /// `sched.events` matches the dispatched-event count).
+    fn profiled_pop(&mut self, deadline: SimTime) -> Option<Popped> {
         if self.profiler.is_some() {
             let t0 = std::time::Instant::now();
-            let ev = pop(&mut self.core);
+            let ev = self.core.events.pop_event_before(deadline);
             let ns = t0.elapsed().as_nanos() as u64;
             if ev.is_some() {
                 if let Some(p) = self.profiler.as_mut() {
@@ -793,26 +776,15 @@ impl Simulator {
             }
             ev
         } else {
-            pop(&mut self.core)
-        }
-    }
-
-    /// Processes a single event. Returns `false` when the queue is empty.
-    fn step(&mut self) -> bool {
-        match self.profiled_pop(None) {
-            Some(ev) => {
-                self.dispatch(ev);
-                true
-            }
-            None => false,
+            self.core.events.pop_event_before(deadline)
         }
     }
 
     /// Processes a single event if it fires at or before `deadline`.
     /// Returns `false` when the queue is empty or the next event is later
     /// than the deadline.
-    fn step_before(&mut self, deadline: SimTime) -> bool {
-        match self.profiled_pop(Some(deadline)) {
+    fn step(&mut self, deadline: SimTime) -> bool {
+        match self.profiled_pop(deadline) {
             Some(ev) => {
                 self.dispatch(ev);
                 true
@@ -825,7 +797,7 @@ impl Simulator {
     /// [`Agent::start`] first.
     pub fn run(&mut self) {
         self.start_agents();
-        while self.step() {}
+        while self.step(SimTime::MAX) {}
     }
 
     /// Runs until the queue drains or simulated time would pass
@@ -833,7 +805,7 @@ impl Simulator {
     /// left at `deadline` if the first pending event is later).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_agents();
-        while self.step_before(deadline) {}
+        while self.step(deadline) {}
         if self.core.now < deadline {
             self.core.now = deadline;
         }

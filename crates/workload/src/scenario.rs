@@ -12,7 +12,6 @@ use crate::job::JobSpec;
 use crate::stats::{IterationStats, JobReport};
 use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction, Linear};
 use mltcp_core::params::MltcpParams;
-use mltcp_netsim::event::EngineKind;
 use mltcp_netsim::fault::{FaultPlan, GilbertElliott, LossModel};
 use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::packet::FlowId;
@@ -216,7 +215,6 @@ pub struct ScenarioBuilder {
     slow_start_restart: bool,
     initial_cwnd: f64,
     faults: Vec<LinkFault>,
-    engine: Option<EngineKind>,
 }
 
 impl ScenarioBuilder {
@@ -239,7 +237,6 @@ impl ScenarioBuilder {
             slow_start_restart: true,
             initial_cwnd: 10.0,
             faults: Vec::new(),
-            engine: None,
         }
     }
 
@@ -328,14 +325,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pins the event engine instead of reading `MLTCP_ENGINE` from the
-    /// environment. Both engines replay bit-for-bit identically; pinning
-    /// lets one process benchmark heap and wheel side by side.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Adds a job with its congestion control.
     pub fn job(mut self, spec: JobSpec, cc: CongestionSpec) -> Self {
         self.jobs.push((spec, cc));
@@ -368,10 +357,7 @@ impl ScenarioBuilder {
                 cap_bytes: 4_000_000,
             },
         });
-        let mut sim = match self.engine {
-            Some(engine) => Simulator::with_engine(topo, self.seed, engine),
-            None => Simulator::new(topo, self.seed),
-        };
+        let mut sim = Simulator::new(topo, self.seed);
         if let Some(bin) = self.trace_bin {
             sim.enable_trace(dumbbell.bottleneck, bin);
         }

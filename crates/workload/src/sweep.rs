@@ -18,16 +18,6 @@
 //! `sweep_determinism` in `mltcp-bench` pins the byte-identical claim by
 //! serializing parallel and sequential sweep results to JSON and
 //! comparing the strings.
-//!
-//! **Event-engine selection and sweeps.** A scenario built without an
-//! explicit [`ScenarioBuilder::engine`](crate::scenario::ScenarioBuilder)
-//! call reads `MLTCP_ENGINE` through a process-wide `OnceLock`
-//! (`mltcp_netsim::event::EngineKind::from_env`), so every worker in a
-//! sweep sees the *same* engine no matter when its thread first touches
-//! the cache — the environment cannot race a half-finished sweep onto a
-//! different engine. Since both engines replay bit-for-bit identically
-//! (pinned by the cross-engine sweep-determinism test), the choice can
-//! only affect wall clock, never output bytes.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
