@@ -315,11 +315,14 @@ fn fnv1a(hash: &mut u64, value: u64) {
 /// FNV-1a fingerprint of a finished scenario: every iteration record of
 /// every job plus the simulator's delivery/drop counters and final clock.
 ///
-/// Two runs of the same scenario hash equal iff their event sequences
-/// were identical — the repository's determinism contract. The telemetry
-/// determinism tests compare this hash across sink configurations
-/// (no sink / no-op / ring / JSONL) to prove sinks observe without
-/// perturbing; `replay_hash` prints it for CI's run-twice check.
+/// It fingerprints outcomes, not the event stream: two runs hash equal
+/// when every job's iteration timestamps, the delivered/dropped packet
+/// counts and the final clock agree, so it can miss a reordering that
+/// leaves all of those unchanged (an event-stream fingerprint is open
+/// work in ROADMAP.md). The telemetry determinism tests compare this hash
+/// across sink configurations (no sink / no-op / ring / JSONL) to check
+/// that sinks observe without perturbing; `replay_hash` prints it for
+/// CI's run-twice check.
 pub fn scenario_replay_hash(sc: &Scenario) -> u64 {
     let mut hash = FNV_OFFSET;
     for job in &sc.jobs {

@@ -4,7 +4,8 @@
 //! `src/bin/`). The speed benchmark is `perfbench/` at the repo root.
 //!
 //! Figure binaries print human-readable tables/series to stdout and write
-//! machine-readable JSON under `results/` (created on demand). They are
+//! machine-readable JSON under `results/` (created on demand) through
+//! [`mltcp_telemetry::Json`], the workspace's one JSON writer. They are
 //! the artifacts EXPERIMENTS.md records. Run them with e.g.
 //!
 //! ```text
@@ -30,10 +31,9 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
 
-use json::Json;
 use mltcp_netsim::time::{SimDuration, SimTime};
+use mltcp_telemetry::Json;
 use mltcp_workload::scenario::Scenario;
 use std::io::Write;
 use std::path::PathBuf;
@@ -113,14 +113,8 @@ pub fn trace_path(base: &std::path::Path, label: &str) -> PathBuf {
 /// Each traced scenario needs a unique `label` so parallel sweep workers
 /// write distinct files.
 pub fn attach_trace(sc: &mut Scenario, label: &str) {
-    let Some(base) = trace_base() else { return };
-    let path = trace_path(&base, label);
-    match mltcp_telemetry::JsonlSink::create(&path) {
-        Ok(sink) => {
-            sc.set_telemetry(Box::new(sink));
-            eprintln!("[tracing {label} -> {}]", path.display());
-        }
-        Err(e) => eprintln!("warning: could not create trace {}: {e}", path.display()),
+    if let Some(sink) = trace_sink(label) {
+        sc.set_telemetry(sink);
     }
 }
 
@@ -128,14 +122,24 @@ pub fn attach_trace(sc: &mut Scenario, label: &str) {
 /// [`mltcp_netsim::sim::Simulator`] without the `Scenario` wrapper (no
 /// job table is written, so events carry flow/job ids only).
 pub fn attach_trace_sim(sim: &mut mltcp_netsim::sim::Simulator, label: &str) {
-    let Some(base) = trace_base() else { return };
-    let path = trace_path(&base, label);
+    if let Some(sink) = trace_sink(label) {
+        sim.set_sink(sink);
+    }
+}
+
+/// Creates the JSONL sink for `label` when tracing is on. A file that
+/// cannot be created is reported and the run goes on untraced.
+fn trace_sink(label: &str) -> Option<Box<dyn mltcp_telemetry::TelemetrySink>> {
+    let path = trace_path(&trace_base()?, label);
     match mltcp_telemetry::JsonlSink::create(&path) {
         Ok(sink) => {
-            sim.set_sink(Box::new(sink));
             eprintln!("[tracing {label} -> {}]", path.display());
+            Some(Box::new(sink))
         }
-        Err(e) => eprintln!("warning: could not create trace {}: {e}", path.display()),
+        Err(e) => {
+            eprintln!("warning: could not create trace {}: {e}", path.display());
+            None
+        }
     }
 }
 

@@ -12,9 +12,9 @@
 use mltcp_bench::experiments::{
     gpt2_jobs, mean_steady_ratio, mix_deadline, uniform_scenario, FaultCase, PlanKind,
 };
-use mltcp_bench::json::Json;
 use mltcp_netsim::fault::GilbertElliott;
 use mltcp_netsim::time::{SimDuration, SimTime};
+use mltcp_telemetry::Json;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault};
 use mltcp_workload::SweepRunner;
 

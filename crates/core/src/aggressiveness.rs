@@ -17,7 +17,6 @@
 //! tooling to check the requirements for arbitrary functions.
 
 use crate::params::MltcpParams;
-use serde::{Deserialize, Serialize};
 
 /// A bandwidth aggressiveness function mapping
 /// `bytes_ratio ∈ [0, 1]` to a positive congestion-window gain.
@@ -79,7 +78,7 @@ fn clamp01(x: f64) -> f64 {
 /// `F(r) = slope * r + intercept`, chosen linear "to simplify MLTCP's
 /// implementation in the Linux kernel and to minimize computational
 /// overhead".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Linear {
     /// Slope and intercept of the line.
     pub params: MltcpParams,
@@ -108,7 +107,7 @@ impl Aggressiveness for Linear {
 }
 
 /// `F2 = 1.75 r² + 0.25` — increasing, convex (Fig. 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Quadratic;
 
 impl Aggressiveness for Quadratic {
@@ -122,7 +121,7 @@ impl Aggressiveness for Quadratic {
 }
 
 /// `F3 = 1 / (-3.5 r + 4)` — increasing, rational (Fig. 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Rational;
 
 impl Aggressiveness for Rational {
@@ -136,7 +135,7 @@ impl Aggressiveness for Rational {
 }
 
 /// `F4 = -1.75 r² + 3.5 r + 0.25` — increasing, concave (Fig. 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConcaveQuadratic;
 
 impl Aggressiveness for ConcaveQuadratic {
@@ -151,7 +150,7 @@ impl Aggressiveness for ConcaveQuadratic {
 
 /// `F5 = -1.75 r + 2` — **decreasing**; violates requirement (ii) and, per
 /// Fig. 3, fails to interleave jobs. Included as a negative control.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecreasingLinear;
 
 impl Aggressiveness for DecreasingLinear {
@@ -164,7 +163,7 @@ impl Aggressiveness for DecreasingLinear {
 }
 
 /// `F6 = -1.75 r² + 2` — **decreasing**; negative control like [`DecreasingLinear`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecreasingQuadratic;
 
 impl Aggressiveness for DecreasingQuadratic {
@@ -180,7 +179,7 @@ impl Aggressiveness for DecreasingQuadratic {
 /// A constant function `F(r) = c`. With `c = 1` MLTCP degenerates exactly to
 /// the base congestion control algorithm — useful as a baseline and in
 /// ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constant(pub f64);
 
 impl Aggressiveness for Constant {
@@ -195,7 +194,7 @@ impl Aggressiveness for Constant {
 /// An owned, dynamically-dispatched aggressiveness function, convenient for
 /// configuration tables (e.g. the Fig. 3 sweep) where heterogeneous function
 /// shapes are iterated together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FigureFunction {
     /// `F1 = 1.75 r + 0.25` (the paper's deployed default).
     F1,

@@ -11,10 +11,9 @@
 //! iterations it took (the paper observes ~20 for its testbed mixes).
 
 use crate::shift::ShiftFunction;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of running the iteration map to convergence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceReport {
     /// Final start-time difference (wrapped to `[0, T)`).
     pub final_delta: f64,

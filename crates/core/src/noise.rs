@@ -20,7 +20,6 @@
 use crate::gradient::circular_distance;
 use crate::params::MltcpParams;
 use crate::shift::ShiftFunction;
-use serde::{Deserialize, Serialize};
 
 /// The predicted steady-state error's standard deviation,
 /// `2σ(1 + Intercept/Slope)`.
@@ -31,7 +30,7 @@ pub fn predicted_error_stddev(params: MltcpParams, noise_stddev: f64) -> f64 {
 }
 
 /// Summary statistics of a noisy steady state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyStateStats {
     /// Mean signed deviation from the noise-free fixed point.
     pub mean: f64,

@@ -1,14 +1,12 @@
 //! Tunable constants of the MLTCP algorithm.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the linear bandwidth aggressiveness function (paper Eq. 2):
 /// `F(bytes_ratio) = slope * bytes_ratio + intercept`.
 ///
 /// The paper tunes these "based on the link rate and the noise in the
 /// system" and uses `slope = 1.75`, `intercept = 0.25` throughout, giving F
 /// a range of `[0.25, 2.0]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MltcpParams {
     /// Slope of the linear aggressiveness function. Must be non-negative so
     /// that `F' >= 0` (requirement (ii) of §3.1).

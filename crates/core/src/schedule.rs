@@ -9,10 +9,8 @@
 //! schedule exists — the regime in which the paper guarantees MLTCP's
 //! convergence.
 
-use serde::{Deserialize, Serialize};
-
 /// A periodic job's schedule-relevant geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodicJob {
     /// Ideal (isolated) iteration time in seconds.
     pub period: f64,
@@ -116,7 +114,7 @@ pub fn demand_profile(jobs: &[PeriodicJob], horizon: f64, samples: usize) -> Vec
 
 /// Contention metrics over one hyperperiod of an ideal (no-slowdown)
 /// schedule with the given offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionReport {
     /// Maximum number of simultaneously communicating jobs.
     pub peak_overlap: u32,

@@ -21,12 +21,11 @@
 //! loss landscape use.
 
 use crate::params::MltcpParams;
-use serde::{Deserialize, Serialize};
 
 /// The two-job shift function of Eq. 3, parameterized by the aggressiveness
 /// parameters and the jobs' common period `T` and communication fraction
 /// `a` (comm phase lasts `a·T` seconds; `0 < a ≤ 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftFunction {
     /// Aggressiveness slope/intercept (Eq. 2).
     pub params: MltcpParams,

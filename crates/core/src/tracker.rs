@@ -14,13 +14,11 @@
 //! segments it into bursts separated by multi-RTT silences, and locks in
 //! the measured per-iteration byte count and gap threshold.
 
-use serde::{Deserialize, Serialize};
-
 /// Timestamps are nanoseconds since simulation (or connection) start.
 pub type Nanos = u64;
 
 /// Configuration of an [`IterationTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// `TOTAL_BYTES`: bytes transferred per training iteration.
     pub total_bytes: u64,
@@ -68,7 +66,7 @@ impl TrackerConfig {
 /// Call [`IterationTracker::on_ack`] from the congestion-avoidance hook for
 /// every cumulative ack; it returns the up-to-date `bytes_ratio` to feed the
 /// aggressiveness function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationTracker {
     config: TrackerConfig,
     bytes_sent: u64,
@@ -178,7 +176,7 @@ impl IterationTracker {
 ///   comfortably above "several RTTs" and below the compute time.
 ///
 /// Bursts are segmented by silences longer than `min_gap` (a few RTTs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoTuner {
     min_gap: Nanos,
     warmup_iterations: usize,

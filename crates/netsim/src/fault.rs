@@ -25,7 +25,6 @@
 use crate::link::LinkId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Gilbert–Elliott two-state Markov loss process.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// first advances the state machine (one transition draw), then is
 /// dropped with the state's loss probability. `p_good_to_bad` small and
 /// `p_bad_to_good` moderate yields rare but clustered loss bursts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-packet probability of transitioning good → bad.
     pub p_good_to_bad: f64,
@@ -69,7 +68,7 @@ impl GilbertElliott {
 }
 
 /// Per-packet loss process on a directed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// Independent per-packet drops with a fixed probability.
     Bernoulli(f64),
@@ -118,7 +117,7 @@ impl LossState {
 }
 
 /// One injectable fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Cut a directed channel: drain its egress queue, kill packets on
     /// the wire, block egress until [`FaultAction::LinkUp`].
@@ -155,7 +154,7 @@ pub enum FaultAction {
 }
 
 /// A fault scheduled at an absolute simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// When the action fires.
     pub at: SimTime,
@@ -165,7 +164,7 @@ pub struct ScheduledFault {
 
 /// A deterministic schedule of faults, built fluently and installed via
 /// [`crate::sim::Simulator::install_faults`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The scheduled actions (installation order; the event queue orders
     /// equal-time actions by insertion, so plan order is tie-break order).

@@ -7,10 +7,9 @@
 use crate::node::NodeId;
 use crate::queue::QueueKind;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Index of a directed channel within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -25,7 +24,7 @@ impl LinkId {
 }
 
 /// Transmission rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
@@ -69,7 +68,7 @@ impl Bandwidth {
 }
 
 /// Static parameters of a directed channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Serialization rate.
     pub rate: Bandwidth,

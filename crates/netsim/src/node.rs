@@ -1,9 +1,7 @@
 //! Nodes: hosts (traffic endpoints) and switches (store-and-forward).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -14,7 +12,7 @@ impl NodeId {
 }
 
 /// Role of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A traffic endpoint; agents (transport stacks, workload drivers)
     /// attach here.

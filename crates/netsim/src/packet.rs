@@ -8,10 +8,9 @@
 //! disciplines ignore it.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one unidirectional transport flow (a sender/receiver pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 /// Wire overhead we charge per packet (IPv4 + TCP headers, no options).
@@ -22,7 +21,7 @@ pub const HEADER_BYTES: u32 = 40;
 pub const DEFAULT_MSS: u32 = 1500;
 
 /// ECN codepoint subset the simulator models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EcnCodepoint {
     /// Transport is not ECN-capable: congested queues drop instead of mark.
     #[default]
@@ -46,7 +45,7 @@ impl EcnCodepoint {
 }
 
 /// The transport header: either a data segment or a cumulative ack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentHeader {
     /// A data segment carrying `len` payload bytes starting at byte
     /// offset `seq` of the flow.
@@ -71,7 +70,7 @@ pub enum SegmentHeader {
 /// All fields are plain values, so the packet is `Copy`: the hot path
 /// moves packets out of their pooled boxes (see [`crate::event`]) with a
 /// memcpy instead of a clone call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// The flow this packet belongs to. Acks use the *data* flow's id so
     /// both directions share accounting.

@@ -20,11 +20,10 @@
 //! account capacity in bytes.
 
 use crate::packet::{EcnCodepoint, Packet};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration for an egress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueueKind {
     /// FIFO, dropping arrivals once `cap_bytes` of backlog exist.
     DropTail {

@@ -4,11 +4,10 @@
 
 use crate::packet::FlowId;
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A per-flow, binned bandwidth trace for one channel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BandwidthTrace {
     bin: SimDuration,
     /// `bins[flow][i]` = bytes of `flow` serialized during bin `i`.

@@ -16,10 +16,9 @@
 
 use mltcp_core::schedule::{contention, hyperperiod, ContentionReport, PeriodicJob};
 use mltcp_netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The optimizer's output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterleavedSchedule {
     /// One communication-phase offset per job (seconds, within the job's
     /// own period).

@@ -19,10 +19,9 @@
 //! link) preserves the initial phase alignment and stays contended.
 
 use mltcp_core::aggressiveness::Aggressiveness;
-use serde::Serialize;
 
 /// A periodic CPU job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuJob {
     /// Think-phase duration (seconds): no CPU demand.
     pub think: f64,
@@ -43,7 +42,7 @@ impl CpuJob {
 }
 
 /// Result of one job's simulation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CpuJobResult {
     /// Completed iteration durations (seconds).
     pub iteration_times: Vec<f64>,

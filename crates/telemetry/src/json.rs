@@ -1,10 +1,17 @@
-//! Minimal JSON emission for experiment artifacts.
+//! The workspace's one JSON writer.
 //!
-//! The offline build replaces `serde_json` with this hand-rolled emitter:
-//! a [`Json`] value tree plus a deterministic pretty printer (2-space
-//! indent, object keys in insertion order). Determinism matters — the
-//! sweep-harness tests compare sequential and parallel runs by comparing
-//! these serialized bytes.
+//! Two layers share a single string escaper ([`push_string`]) and a single
+//! number rule ([`push_f64`]: shortest round-trip digits, non-finite as
+//! `null`, since JSON has no NaN/Inf):
+//!
+//! * the compact primitives themselves, which the JSONL trace writer and
+//!   [`MetricsSnapshot::to_json`](crate::MetricsSnapshot::to_json) call
+//!   directly (integral floats print as `64`);
+//! * a [`Json`] value tree with a deterministic pretty printer (2-space
+//!   indent, object keys in insertion order) for experiment artifacts.
+//!   There, every finite integral number keeps a `.0` suffix so readers
+//!   type the column as float. Determinism matters: the sweep-harness
+//!   tests compare sequential and parallel runs by these bytes.
 
 use std::fmt::Write as _;
 
@@ -15,8 +22,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number; non-finite values serialize as `null` (as serde_json
-    /// does for f64).
+    /// A number; non-finite values serialize as `null`.
     Num(f64),
     /// A string.
     Str(String),
@@ -42,8 +48,7 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Serializes with 2-space indentation and a trailing newline-free
-    /// body (matching `serde_json::to_string_pretty`).
+    /// Serializes with 2-space indentation and no trailing newline.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -56,8 +61,13 @@ impl Json {
             Json::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            Json::Num(v) => write_num(out, *v),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Num(v) => {
+                push_f64(out, *v);
+                if v.is_finite() && *v == v.trunc() {
+                    out.push_str(".0");
+                }
+            }
+            Json::Str(s) => push_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -88,7 +98,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_escaped(out, k);
+                    push_string(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
@@ -106,22 +116,18 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
-fn write_num(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // Integral values keep a ".0" suffix so a reader can't misparse the
-    // column as integer-typed; Rust's shortest-roundtrip float formatting
-    // covers the rest.
-    if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{:.1}", v);
-    } else {
+/// Appends `v` in Rust's shortest round-trip form (never exponent
+/// notation), or `null` when it is NaN or infinite.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
         let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string literal.
+pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -149,6 +155,13 @@ mod tests {
         assert_eq!(Json::Bool(true).to_string_pretty(), "true");
         assert_eq!(Json::Num(1.0).to_string_pretty(), "1.0");
         assert_eq!(Json::Num(1.5).to_string_pretty(), "1.5");
+        assert_eq!(Json::Num(-0.0).to_string_pretty(), "-0.0");
+        assert_eq!(Json::Num(1e15).to_string_pretty(), "1000000000000000.0");
+        assert_eq!(Json::Num(-1e15).to_string_pretty(), "-1000000000000000.0");
+        assert_eq!(
+            Json::Num(1e20).to_string_pretty(),
+            "100000000000000000000.0"
+        );
         assert_eq!(Json::Num(f64::NAN).to_string_pretty(), "null");
         assert_eq!(Json::str("a\"b\n").to_string_pretty(), r#""a\"b\n""#);
     }

@@ -9,6 +9,7 @@
 //! accepts exactly the flat subset the writer produces.
 
 use crate::event::{DropReason, EventKind, FaultKind, PhaseKind, RetxKind, TelemetryEvent};
+use crate::json::{push_f64, push_string};
 use crate::sink::TelemetrySink;
 use std::any::Any;
 use std::fmt::Write as _;
@@ -18,33 +19,6 @@ use std::path::Path;
 
 /// Trace format version emitted in the header line.
 pub const TRACE_VERSION: u32 = 1;
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        // JSON has no NaN/Inf; `null` stands in for the one legitimate
-        // non-finite value in the schema — an infinite ssthresh before
-        // the first loss — and the reader maps it back to +inf.
-        out.push_str("null");
-    }
-}
 
 /// Serializes one event as a single JSONL line (no trailing newline).
 pub fn event_to_line(ev: &TelemetryEvent) -> String {
@@ -173,9 +147,9 @@ impl TelemetrySink for JsonlSink {
 
     fn job_name(&mut self, job: u32, name: &str) {
         let mut line = String::with_capacity(48);
-        let _ = write!(line, "{{\"e\":\"job\",\"job\":{job},\"name\":\"");
-        escape_into(&mut line, name);
-        line.push_str("\"}");
+        let _ = write!(line, "{{\"e\":\"job\",\"job\":{job},\"name\":");
+        push_string(&mut line, name);
+        line.push('}');
         let _ = writeln!(self.out, "{line}");
     }
 
@@ -719,5 +693,39 @@ mod tests {
         assert_eq!(trace.events.len(), 10);
         assert_eq!(trace.jobs, vec![(0, "alpha".to_string())]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Pins the exact bytes of a trace: header, an escaped job name and
+    /// every event kind, including an infinite ssthresh and an integral
+    /// float (traces print `64`, not `64.0`).
+    #[test]
+    fn trace_bytes_match_golden() {
+        let path = std::env::temp_dir().join(format!(
+            "mltcp-telemetry-golden-{}.jsonl",
+            std::process::id()
+        ));
+        {
+            let mut sink = JsonlSink::create(&path).expect("create");
+            sink.job_name(0, "vgg \"A\"\\\t\u{1}");
+            for ev in sample_events() {
+                sink.record(&ev);
+            }
+        }
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        let golden = r#"{"e":"hdr","v":1}
+{"e":"job","job":0,"name":"vgg \"A\"\\\t\u0001"}
+{"e":"phase","t":0,"job":0,"iter":0,"phase":"compute"}
+{"e":"cwnd","t":10,"flow":3,"job":0,"cwnd":12.5,"ssthresh":64}
+{"e":"cwnd","t":10,"flow":4,"job":1,"cwnd":10,"ssthresh":null}
+{"e":"gain","t":11,"flow":3,"job":0,"gain":1.375,"ratio":0.5}
+{"e":"rtt","t":12,"flow":3,"job":0,"rtt_ns":84000}
+{"e":"ecn","t":13,"link":2,"flow":3}
+{"e":"qdepth","t":14,"link":2,"bytes":9000,"pkts":6}
+{"e":"drop","t":15,"link":4294967295,"flow":3,"reason":"no_route"}
+{"e":"retx","t":16,"flow":3,"job":0,"kind":"rto","count":2}
+{"e":"fault","t":17,"link":2,"kind":"rate_factor","factor":0.25}
+"#;
+        assert_eq!(text, golden);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Cross-stack observability for the MLTCP reproduction: a typed,
 //! allocation-light telemetry event bus plus the sinks, metrics, and
-//! profiling machinery that consume it.
+//! profiling machinery that consume it. It also holds the workspace's
+//! one JSON writer ([`json`]), shared by traces, metrics snapshots and
+//! the bench harness's result files.
 //!
 //! This is a *leaf* crate: it knows nothing about the simulator, the
 //! transport, or the workload. Events carry raw primitives (`t_ns`,
@@ -39,12 +41,14 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod profiler;
 pub mod sink;
 
 pub use event::{DropReason, EventKind, FaultKind, PhaseKind, RetxKind, TelemetryEvent};
+pub use json::Json;
 pub use jsonl::{JsonlSink, Trace, TraceError};
 pub use metrics::{HistSummary, Histogram, MetricsRegistry, MetricsSink, MetricsSnapshot};
 pub use profiler::{ProfileEntry, ProfileSnapshot, SimProfiler};

@@ -3,6 +3,7 @@
 //! results.
 
 use crate::event::{DropReason, EventKind, FaultKind, RetxKind, TelemetryEvent};
+use crate::json::{push_f64, push_string};
 use crate::sink::TelemetrySink;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -288,58 +289,44 @@ impl MetricsSnapshot {
     /// Serializes as a compact JSON object (counters, gauges, histogram
     /// summaries) for embedding alongside bench results.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut s = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{v}", esc(name));
+            push_string(&mut s, name);
+            let _ = write!(s, ":{v}");
         }
         s.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{}", esc(name), num(*v));
+            push_string(&mut s, name);
+            s.push(':');
+            push_f64(&mut s, *v);
         }
         s.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
+            push_string(&mut s, name);
             let _ = write!(
                 s,
-                "\"{}\":{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                esc(name),
-                h.count,
-                h.min,
-                h.max,
-                num(h.mean),
-                num(h.p50),
-                num(h.p90),
-                num(h.p99)
+                ":{{\"count\":{},\"min\":{},\"max\":{}",
+                h.count, h.min, h.max
             );
+            for (key, v) in [
+                ("mean", h.mean),
+                ("p50", h.p50),
+                ("p90", h.p90),
+                ("p99", h.p99),
+            ] {
+                let _ = write!(s, ",\"{key}\":");
+                push_f64(&mut s, v);
+            }
+            s.push('}');
         }
         s.push_str("}}");
         s
@@ -659,5 +646,29 @@ mod tests {
         });
         let snap = sink.snapshot();
         assert_eq!(snap.gauge("fault/downtime_s"), Some(5.0));
+    }
+
+    /// Pins the exact bytes of a snapshot: an escaped counter name, an
+    /// integral and a NaN gauge, and a histogram.
+    #[test]
+    fn snapshot_json_matches_golden() {
+        let mut reg = MetricsRegistry::new();
+        let c = reg.counter("drops/\"q\"\\\u{1}");
+        reg.inc(c, 3);
+        let g = reg.gauge("fault/brownout_s");
+        reg.set(g, 2.0);
+        let nan = reg.gauge("ratio");
+        reg.set(nan, f64::NAN);
+        let h = reg.histogram("rtt_ns");
+        for v in [7, 1000, 84_000] {
+            reg.observe(h, v);
+        }
+        let golden = concat!(
+            r#"{"counters":{"drops/\"q\"\\\u0001":3},"#,
+            r#""gauges":{"fault/brownout_s":2,"ratio":null},"#,
+            r#""histograms":{"rtt_ns":{"count":3,"min":7,"max":84000,"#,
+            r#""mean":28335.666666666668,"p50":959.5,"p90":959.5,"p99":959.5}}}"#,
+        );
+        assert_eq!(reg.snapshot().to_json(), golden);
     }
 }

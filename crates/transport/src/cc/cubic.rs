@@ -134,7 +134,6 @@ mod tests {
             now,
             newly_acked_bytes: (pkts * 1500.0) as u64,
             newly_acked_packets: pkts,
-            rtt: Some(SimDuration::micros(100)),
             ecn_echo: false,
             in_recovery: false,
             after_timeout: false,

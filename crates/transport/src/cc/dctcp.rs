@@ -112,14 +112,12 @@ impl CongestionControl for Dctcp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mltcp_netsim::time::SimDuration;
 
     fn ack(pkts: f64, ecn: bool) -> AckEvent {
         AckEvent {
             now: SimTime::ZERO,
             newly_acked_bytes: (pkts * 1500.0) as u64,
             newly_acked_packets: pkts,
-            rtt: Some(SimDuration::micros(100)),
             ecn_echo: ecn,
             in_recovery: false,
             after_timeout: false,

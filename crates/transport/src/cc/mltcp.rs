@@ -249,7 +249,6 @@ mod tests {
             now: SimTime(ns),
             newly_acked_bytes: (pkts * MSS) as u64,
             newly_acked_packets: pkts,
-            rtt: Some(SimDuration::micros(100)),
             ecn_echo: false,
             in_recovery: false,
             after_timeout: false,

@@ -14,15 +14,13 @@ pub mod cubic;
 pub mod dctcp;
 pub mod mltcp;
 pub mod reno;
-pub mod swift;
 
 pub use cubic::Cubic;
 pub use dctcp::Dctcp;
 pub use mltcp::{Mltcp, MltcpConfig};
 pub use reno::Reno;
-pub use swift::Swift;
 
-use mltcp_netsim::time::{SimDuration, SimTime};
+use mltcp_netsim::time::SimTime;
 
 /// The congestion window and slow-start threshold, in packets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +69,6 @@ pub struct AckEvent {
     /// Newly acknowledged packets (fractional; `newly_acked_bytes / mss`).
     /// This is `#num_acks` in paper Eq. 1.
     pub newly_acked_packets: f64,
-    /// RTT sample attached to this ack, when Karn's algorithm allows one.
-    pub rtt: Option<SimDuration>,
     /// The receiver echoed a CE mark for the acked segment (DCTCP).
     pub ecn_echo: bool,
     /// The sender is currently in fast recovery (window growth is

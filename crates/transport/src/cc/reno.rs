@@ -54,14 +54,12 @@ impl CongestionControl for Reno {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mltcp_netsim::time::SimDuration;
 
     fn ack(pkts: f64) -> AckEvent {
         AckEvent {
             now: SimTime::ZERO,
             newly_acked_bytes: (pkts * 1500.0) as u64,
             newly_acked_packets: pkts,
-            rtt: Some(SimDuration::micros(100)),
             ecn_echo: false,
             in_recovery: false,
             after_timeout: false,

@@ -420,7 +420,6 @@ impl TcpSender {
             now: ctx.now(),
             newly_acked_bytes: newly,
             newly_acked_packets: newly as f64 / f64::from(self.cfg.mss),
-            rtt: sample,
             ecn_echo,
             in_recovery: self.in_recovery,
             after_timeout,

@@ -45,7 +45,6 @@ fn drive(cc: &mut dyn CongestionControl, evs: &[Ev]) -> bool {
                         now,
                         newly_acked_bytes: (*pkts * 1500.0) as u64,
                         newly_acked_packets: *pkts,
-                        rtt: Some(SimDuration::micros(80)),
                         ecn_echo: *ecn,
                         in_recovery: *rec,
                         after_timeout: false,
@@ -103,7 +102,6 @@ proptest! {
                 now,
                 newly_acked_bytes: (pkts * 1500.0) as u64,
                 newly_acked_packets: pkts,
-                rtt: Some(SimDuration::micros(80)),
                 ecn_echo: false,
                 in_recovery: false,
                 after_timeout: false,

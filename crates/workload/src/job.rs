@@ -3,7 +3,6 @@
 use mltcp_core::schedule::PeriodicJob;
 use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A scheduled crash/restart: the job pauses just before iteration
 /// `at_iter` for `outage`, then resumes training where it left off.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// outage. The interesting question downstream is how many iterations the
 /// fabric needs to re-interleave the job with its neighbours (MLTCP
 /// self-heals; a static Cassini-style offset plan does not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartSpec {
     /// The 0-based iteration index before which the job pauses.
     pub at_iter: u32,
@@ -28,7 +27,7 @@ pub struct RestartSpec {
 /// immediately begin the next iteration. The ideal iteration time on a
 /// bottleneck of rate `C` is `compute_time + bytes·8/C` — the `T` of the
 /// paper's analysis, with communication fraction `a = comm/T`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Display name (e.g. "J1 (GPT-3)").
     pub name: String,

@@ -19,16 +19,15 @@ use mltcp_netsim::queue::QueueKind;
 use mltcp_netsim::sim::{AgentId, Simulator};
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_netsim::topology::{build_dumbbell, Dumbbell, DumbbellSpec};
-use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, MltcpConfig, Reno, Swift};
+use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, MltcpConfig, Reno};
 use mltcp_transport::sender::{PriorityPolicy, SenderConfig, TcpSender};
 use mltcp_transport::TcpReceiver;
-use serde::{Deserialize, Serialize};
 
-/// A serializable choice of bandwidth aggressiveness function.
+/// A choice of bandwidth aggressiveness function.
 ///
 /// Implements [`Aggressiveness`] directly so it can be handed to
 /// [`Mltcp::new`] without boxing gymnastics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FnSpec {
     /// The paper's deployed default: `1.75·r + 0.25`.
     Paper,
@@ -67,8 +66,8 @@ impl Aggressiveness for FnSpec {
     }
 }
 
-/// A serializable choice of congestion control per job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A choice of congestion control per job.
+#[derive(Debug, Clone, PartialEq)]
 pub enum CongestionSpec {
     /// Plain TCP Reno.
     Reno,
@@ -82,18 +81,6 @@ pub enum CongestionSpec {
     MltcpCubic(FnSpec),
     /// MLTCP over DCTCP.
     MltcpDctcp(FnSpec),
-    /// Swift-style delay-based CC with the given target RTT (µs).
-    Swift {
-        /// Target queueing-inclusive RTT in microseconds.
-        target_us: u64,
-    },
-    /// MLTCP over Swift.
-    MltcpSwift {
-        /// Target queueing-inclusive RTT in microseconds.
-        target_us: u64,
-        /// The aggressiveness function.
-        f: FnSpec,
-    },
 }
 
 impl CongestionSpec {
@@ -111,8 +98,6 @@ impl CongestionSpec {
             CongestionSpec::MltcpReno(_) => "mltcp-reno",
             CongestionSpec::MltcpCubic(_) => "mltcp-cubic",
             CongestionSpec::MltcpDctcp(_) => "mltcp-dctcp",
-            CongestionSpec::Swift { .. } => "swift",
-            CongestionSpec::MltcpSwift { .. } => "mltcp-swift",
         }
     }
 
@@ -134,14 +119,6 @@ impl CongestionSpec {
             CongestionSpec::MltcpReno(f) => Box::new(Mltcp::new(Reno::new(), f.clone(), cfg)),
             CongestionSpec::MltcpCubic(f) => Box::new(Mltcp::new(Cubic::new(), f.clone(), cfg)),
             CongestionSpec::MltcpDctcp(f) => Box::new(Mltcp::new(Dctcp::new(), f.clone(), cfg)),
-            CongestionSpec::Swift { target_us } => {
-                Box::new(Swift::new(SimDuration::micros(*target_us)))
-            }
-            CongestionSpec::MltcpSwift { target_us, f } => Box::new(Mltcp::new(
-                Swift::new(SimDuration::micros(*target_us)),
-                f.clone(),
-                cfg,
-            )),
         }
     }
 }
@@ -149,7 +126,7 @@ impl CongestionSpec {
 /// A fault applied to the shared bottleneck (both directions, so data
 /// and acks are hit symmetrically — a real link failure takes out the
 /// whole cable, not one fibre).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkFault {
     /// Full outage: link down at `at`, back up `duration` later.
     Down {
@@ -714,25 +691,5 @@ mod tests {
         sc.run(SimTime::from_secs_f64(2.0));
         assert!(sc.all_finished(), "GBN must drain through bursty loss");
         assert_eq!(sc.stats(0).len(), 6);
-    }
-
-    #[test]
-    fn swift_and_mltcp_swift_complete() {
-        // Delay-based CC end-to-end: target ≈ 3× the dumbbell's base RTT.
-        let rate = models::paper_bottleneck();
-        for cc in [
-            CongestionSpec::Swift { target_us: 40 },
-            CongestionSpec::MltcpSwift {
-                target_us: 40,
-                f: FnSpec::Paper,
-            },
-        ] {
-            let mut sc = ScenarioBuilder::new(13)
-                .job(models::gpt2(rate, 1e-3, 4), cc.clone())
-                .build();
-            sc.run(SimTime::from_secs_f64(1.0));
-            assert!(sc.all_finished(), "{} did not finish", cc.label());
-            assert_eq!(sc.stats(0).len(), 4);
-        }
     }
 }

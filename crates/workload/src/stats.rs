@@ -1,10 +1,9 @@
 //! Iteration-time series analysis: percentiles, CDFs, convergence.
 
 use crate::driver::IterationRecord;
-use serde::Serialize;
 
 /// Summary statistics over one job's iteration durations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IterationStats {
     durations_secs: Vec<f64>,
 }
@@ -135,8 +134,8 @@ pub fn speedup_at(baseline: &IterationStats, improved: &IterationStats, p: f64) 
     }
 }
 
-/// Serializable per-job experiment row used by the bench harness.
-#[derive(Debug, Clone, Serialize)]
+/// Per-job experiment row used by the bench harness.
+#[derive(Debug, Clone)]
 pub struct JobReport {
     /// Job name.
     pub name: String,
