@@ -61,19 +61,31 @@ pub fn uniform_scenario(seed: u64, jobs: Vec<JobSpec>, cc: CongestionSpec) -> Sc
 /// manage.
 pub fn cassini_scenario(seed: u64, jobs: Vec<JobSpec>) -> Scenario {
     let rate = models::paper_bottleneck();
+    let mut b = ScenarioBuilder::new(seed);
+    for j in cassini_planned(jobs) {
+        let pace = j.ideal_period(rate).mul_f64(CASSINI_PACE_FACTOR);
+        b = b.job(j.with_pace(pace), CongestionSpec::Reno);
+    }
+    b.build()
+}
+
+/// `jobs` with their start offsets set to the centralized plan: the
+/// optimizer's communication offsets, converted to driver offsets and
+/// stretched by [`CASSINI_PACE_FACTOR`] to the planned periods.
+fn cassini_planned(jobs: Vec<JobSpec>) -> Vec<JobSpec> {
+    let rate = models::paper_bottleneck();
     let periodic: Vec<_> = jobs.iter().map(|j| j.to_periodic(rate)).collect();
     let sched = cassini::optimize_offsets(&periodic, 240, 8192);
     let computes: Vec<_> = jobs.iter().map(|j| j.compute_time).collect();
     let periods: Vec<f64> = periodic.iter().map(|p| p.period).collect();
     let offsets = cassini::driver_offsets(&sched, &computes, &periods);
-    let mut b = ScenarioBuilder::new(seed);
-    for (mut j, off) in jobs.into_iter().zip(offsets) {
-        let pace = j.ideal_period(rate).mul_f64(CASSINI_PACE_FACTOR);
-        j.start_offset = off.mul_f64(CASSINI_PACE_FACTOR);
-        j = j.with_pace(pace);
-        b = b.job(j, CongestionSpec::Reno);
-    }
-    b.build()
+    jobs.into_iter()
+        .zip(offsets)
+        .map(|(mut j, off)| {
+            j.start_offset = off.mul_f64(CASSINI_PACE_FACTOR);
+            j
+        })
+        .collect()
 }
 
 /// Builds the *static*-Cassini scenario: the centralized optimizer picks
@@ -93,18 +105,7 @@ pub fn cassini_static_scenario(seed: u64, jobs: Vec<JobSpec>) -> Scenario {
 /// [`cassini_static_scenario`] as a builder, so callers can append link
 /// faults before `build()`.
 pub fn cassini_static_builder(seed: u64, jobs: Vec<JobSpec>) -> ScenarioBuilder {
-    let rate = models::paper_bottleneck();
-    let periodic: Vec<_> = jobs.iter().map(|j| j.to_periodic(rate)).collect();
-    let sched = cassini::optimize_offsets(&periodic, 240, 8192);
-    let computes: Vec<_> = jobs.iter().map(|j| j.compute_time).collect();
-    let periods: Vec<f64> = periodic.iter().map(|p| p.period).collect();
-    let offsets = cassini::driver_offsets(&sched, &computes, &periods);
-    let mut b = ScenarioBuilder::new(seed);
-    for (mut j, off) in jobs.into_iter().zip(offsets) {
-        j.start_offset = off.mul_f64(CASSINI_PACE_FACTOR);
-        b = b.job(j, CongestionSpec::Reno);
-    }
-    b
+    uniform_builder(seed, cassini_planned(jobs), CongestionSpec::Reno)
 }
 
 /// [`uniform_scenario`] as a builder, so callers can append link faults

@@ -6,9 +6,9 @@
 //! * [`cassini`] — a centralized interleaving scheduler in the spirit of
 //!   Cassini (Rajasekaran et al., NSDI '24). On a single bottleneck the
 //!   ILP reduces to choosing start-time offsets for the jobs' periodic
-//!   communication phases; we solve that exactly with a grid +
-//!   coordinate-descent search that reaches zero contention whenever the
-//!   mix is compatible.
+//!   communication phases; a greedy grid placement plus coordinate
+//!   descent searches them for minimal excess demand (a heuristic, not
+//!   a certified ILP optimum).
 //! * [`pfabric`] — the pFabric (SIGCOMM '13) design point: switches do
 //!   shortest-remaining-size-first with priority queues + lowest-priority
 //!   drop; senders run a minimal, aggressive transport.
