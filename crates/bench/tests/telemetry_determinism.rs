@@ -10,14 +10,18 @@
 //! timing drift would flip it.
 
 use mltcp_bench::experiments::{
-    gpt2_jobs, mix_deadline, scenario_replay_hash, FaultCase, PlanKind,
+    fig2_jobs, gpt2_jobs, mix_deadline, scenario_replay_hash, uniform_builder, FaultCase, PlanKind,
 };
 use mltcp_netsim::fault::GilbertElliott;
 use mltcp_netsim::time::{SimDuration, SimTime};
-use mltcp_telemetry::{JsonlSink, NoopSink, RingRecorder};
+use mltcp_telemetry::jsonl::event_to_line;
+use mltcp_telemetry::{
+    DropReason, JsonlSink, NoopSink, RingRecorder, TelemetryEvent, TelemetrySink,
+};
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault};
 use mltcp_workload::SweepRunner;
 use proptest::prelude::*;
+use std::any::Any;
 
 const SCALE: f64 = 0.002;
 const ITERS: u32 = 5;
@@ -114,4 +118,97 @@ proptest! {
             }
         }
     }
+}
+
+/// A sink that folds every event's JSONL line (as [`JsonlSink`] writes
+/// it, newline included) into a running FNV-1a hash, so a long trace is
+/// pinned without touching the disk.
+struct LineHasher {
+    hash: u64,
+    lines: u64,
+    drained: u64,
+    cut: u64,
+}
+
+impl TelemetrySink for LineHasher {
+    fn record(&mut self, ev: &TelemetryEvent) {
+        let line = event_to_line(ev);
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.lines += 1;
+        match *ev {
+            TelemetryEvent::Drop {
+                reason: DropReason::Drained,
+                ..
+            } => self.drained += 1,
+            TelemetryEvent::Drop {
+                reason: DropReason::LinkCut,
+                ..
+            } => self.cut += 1,
+            _ => {}
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+/// FNV-1a of the JSONL event stream of a small faulted Fig. 2 scenario.
+/// The attached sink turns cut-through off, so every packet takes the
+/// enqueue path. The schedule downs the bottleneck while it serializes
+/// with a backlog (the stream has `drained` and `link_cut` drops), then
+/// browns it out and swaps in Gilbert–Elliott loss. The constant pins
+/// every queue sample, drop, fault and transport event in order, so a
+/// change to when channels start serializing cannot hide.
+const FAULTED_TRACE_FNV1A: u64 = 0xd043_56fc_7c7c_99b4;
+
+#[test]
+fn faulted_trace_matches_golden_hash() {
+    const FIG2_ITERS: u32 = 4;
+    let period = SimDuration::from_secs_f64(1.8 * SCALE);
+    let t = |frac: f64| SimTime::from_secs_f64(1.8 * SCALE * f64::from(FIG2_ITERS) * frac);
+    let mut sc = uniform_builder(
+        42,
+        fig2_jobs(SCALE, FIG2_ITERS),
+        CongestionSpec::MltcpReno(FnSpec::Paper),
+    )
+    .max_rto(period)
+    .bottleneck_fault(LinkFault::Down {
+        at: t(0.3),
+        duration: period.mul_f64(0.5),
+    })
+    .bottleneck_fault(LinkFault::Brownout {
+        at: t(0.45),
+        duration: period.mul_f64(2.0),
+        factor: 0.3,
+    })
+    .bottleneck_fault(LinkFault::BurstyLoss {
+        at: t(0.7),
+        duration: period.mul_f64(2.0),
+        model: GilbertElliott::bursty(0.08, 0.25, 0.4),
+    })
+    .build();
+    sc.set_telemetry(Box::new(LineHasher {
+        hash: 0xcbf2_9ce4_8422_2325,
+        lines: 0,
+        drained: 0,
+        cut: 0,
+    }));
+    sc.run(mix_deadline(SCALE, FIG2_ITERS));
+    assert!(sc.all_finished(), "faulted Fig. 2 jobs did not finish");
+    let h = sc
+        .take_telemetry()
+        .expect("sink attached")
+        .into_any()
+        .downcast::<LineHasher>()
+        .expect("hasher comes back as itself");
+    assert!(h.drained > 0, "the flap found no backlog to drain");
+    assert!(h.cut > 0, "the flap cut nothing on the wire");
+    assert_eq!(
+        h.hash, FAULTED_TRACE_FNV1A,
+        "faulted trace changed ({} lines, hash {:#018x})",
+        h.lines, h.hash
+    );
 }

@@ -26,9 +26,12 @@
 //!
 //! ## Link rails (serialization coalescing)
 //!
-//! A directed channel serializes one packet at a time, so per link there
-//! is **at most one** pending `ChannelIdle` (the departure of the packet
-//! being serialized), and deliveries leave the link in FIFO order: each
+//! A directed channel serializes one packet at a time, and the simulator
+//! schedules its `ChannelIdle` (the departure of the packet being
+//! serialized) only when another packet waits behind it. So per link
+//! there is **at most one** pending `ChannelIdle`, and usually none: a
+//! departure with no waiter is never an event (see *Reserved sequence
+//! numbers* below). Deliveries leave the link in FIFO order: each
 //! arrival is `done + delay` where `done` is non-decreasing and `delay`
 //! is a link constant — true under brownouts (which only stretch `done`)
 //! and under link flaps (which drop, never reorder). Each link therefore
@@ -41,6 +44,20 @@
 //! the generic [`EventQueue::schedule`] API, never from the simulator)
 //! fall back to the wheel, so the rails are a pure optimization, not a
 //! correctness assumption.
+//!
+//! ## Reserved sequence numbers
+//!
+//! [`EventQueue::reserve_seq`] takes a sequence number without
+//! scheduling anything, and [`EventQueue::schedule_departure`] later
+//! inserts a `ChannelIdle` under it. The simulator reserves a departure's
+//! seq at the moment it starts serializing a packet, which is where it
+//! would have scheduled the departure outright. Every event scheduled
+//! afterwards therefore gets the same seq as if the departure had been
+//! scheduled, and a departure inserted later sorts at the exact
+//! `(time, seq)` it would have had. Leaving out departures that no packet
+//! waits for thus removes events without moving any other event in the
+//! pop order. Numbering starts at 1, leaving `(t, 0)` below every event
+//! at `t`.
 //!
 //! ## Event size
 //!
@@ -93,8 +110,10 @@ pub enum EventKind {
     /// A packet finishes propagation and arrives (boxed to keep
     /// [`Event`] small; the queue pools and reuses the allocations).
     Deliver(Box<Delivery>),
-    /// A directed channel finishes serializing its current packet and may
-    /// start the next one.
+    /// A directed channel finishes serializing its current packet and
+    /// starts the next one. The simulator schedules it only when a packet
+    /// is queued behind the one on the wire (see the module docs,
+    /// *Reserved sequence numbers*).
     ChannelIdle {
         /// The channel that became idle.
         link: LinkId,
@@ -366,8 +385,9 @@ struct RailDelivery {
     d: Delivery,
 }
 
-/// One directed channel's pending events: the (single) departure of the
-/// packet being serialized, and the FIFO of packets on the wire.
+/// One directed channel's pending events: the departure of the packet
+/// being serialized (when one is scheduled), and the FIFO of packets on
+/// the wire.
 #[derive(Debug, Default)]
 struct Rail {
     departure: Option<(SimTime, u64)>,
@@ -584,6 +604,9 @@ impl Rails {
 /// and determinism contract.
 #[derive(Debug)]
 pub struct EventQueue {
+    /// The next sequence number to issue. Numbering starts at 1, so
+    /// `(t, 0)` sorts before every event at `t`: the simulator uses it
+    /// as the key of agent start-up, which precedes every event.
     next_seq: u64,
     len: usize,
     wheel: Wheel,
@@ -604,7 +627,7 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self {
-            next_seq: 0,
+            next_seq: 1,
             len: 0,
             wheel: Wheel::new(),
             rails: Rails::default(),
@@ -655,21 +678,42 @@ impl EventQueue {
         }
     }
 
+    /// Takes the next sequence number without scheduling anything, so a
+    /// later [`EventQueue::schedule_departure`] can insert an event that
+    /// sorts exactly where it would have had it been scheduled now.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.bump()
+    }
+
+    /// Schedules `ChannelIdle { link }` at `(at, seq)`, where `seq` came
+    /// from [`EventQueue::reserve_seq`] and has not been used since. The
+    /// departure takes the link's rail slot when it is free and falls
+    /// back to the wheel otherwise, as [`EventQueue::schedule`] does.
+    pub fn schedule_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
+        debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
+        self.len += 1;
+        self.insert_departure(at, seq, link);
+    }
+
+    fn insert_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
+        let li = link.index();
+        if Self::railable(link) {
+            self.rails.ensure(li);
+            if self.rails.departure_slot_free(li) {
+                self.rails.push_departure(li, at, seq);
+                return;
+            }
+        }
+        let kind = EventKind::ChannelIdle { link };
+        self.wheel.push(Event { at, seq, kind });
+    }
+
     /// Schedules `kind` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.bump();
         self.len += 1;
         match kind {
-            EventKind::ChannelIdle { link } if Self::railable(link) => {
-                let li = link.index();
-                self.rails.ensure(li);
-                if self.rails.departure_slot_free(li) {
-                    self.rails.push_departure(li, at, seq);
-                } else {
-                    let kind = EventKind::ChannelIdle { link };
-                    self.wheel.push(Event { at, seq, kind });
-                }
-            }
+            EventKind::ChannelIdle { link } => self.insert_departure(at, seq, link),
             EventKind::Deliver(b) if Self::railable(b.via) => {
                 let li = b.via.index();
                 self.rails.ensure(li);

@@ -117,8 +117,15 @@ pub struct Channel {
     pub to: NodeId,
     /// Static parameters.
     pub spec: LinkSpec,
-    /// Whether the serializer is currently sending a packet.
-    pub busy: bool,
+    /// `(time, seq)` event key of the departure of the packet last put
+    /// on the wire. The serializer is busy while the event being
+    /// dispatched sorts before this key (see [`Channel::busy`]).
+    pub(crate) idle_at: SimTime,
+    pub(crate) idle_seq: u64,
+    /// Whether that departure is scheduled as a `ChannelIdle` event. It
+    /// is only when a packet waits behind the one on the wire; otherwise
+    /// the channel just goes idle at the key, with no event.
+    pub(crate) armed: bool,
     /// Whether the channel is operational. While `false` (fault
     /// injection: [`crate::fault::FaultAction::LinkDown`]) egress is
     /// blocked and arriving traffic queues behind the outage.
@@ -154,7 +161,9 @@ impl Channel {
             from,
             to,
             spec,
-            busy: false,
+            idle_at: SimTime::ZERO,
+            idle_seq: 0,
+            armed: false,
             up: true,
             epoch: 0,
             rate_factor: 1.0,
@@ -164,6 +173,13 @@ impl Channel {
             tx_cache_bytes: u32::MAX,
             tx_cache_ns: 0,
         }
+    }
+
+    /// Whether the serializer is still sending a packet at the event with
+    /// key `(now, seq)`. Event seqs start at 1, so `(t, 0)` (agent
+    /// start-up) sorts before every departure.
+    pub(crate) fn busy(&self, now: SimTime, seq: u64) -> bool {
+        (now, seq) < (self.idle_at, self.idle_seq)
     }
 
     /// Serialization time for a packet of `bytes` on this channel at the

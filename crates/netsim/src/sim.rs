@@ -89,7 +89,9 @@ pub trait Agent: Any {
 /// Aggregate counters for a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events processed.
+    /// Events processed. A channel departure with no packet waiting
+    /// behind it is not an event (see [`crate::event`]): `ChannelIdle`
+    /// counts only the departures that a queued packet was waiting for.
     pub events: u64,
     /// Packets delivered to host agents.
     pub delivered: u64,
@@ -108,6 +110,10 @@ pub struct SimStats {
 /// so a scan beats hashing a 16-byte key per packet).
 struct SimCore {
     now: SimTime,
+    /// Sequence number of the event being dispatched; 0 during agent
+    /// start-up, which sorts before every event. With `now` it is the key
+    /// that channel busy tests compare against (see `Channel::busy`).
+    seq: u64,
     events: EventQueue,
     topo: Topology,
     queues: Vec<LinkQueue>,
@@ -147,9 +153,10 @@ impl SimCore {
     }
 
     /// Offers a packet to a channel's egress queue and kicks the
-    /// serializer if idle.
+    /// serializer if idle, or arms its departure if busy.
     fn enqueue_on(&mut self, link: LinkId, pkt: Packet) {
         let li = link.index();
+        let busy = self.topo.channels[li].busy(self.now, self.seq);
         // Cut-through: when the queue is empty and the channel is idle
         // and up, enqueue-then-immediately-dequeue is the identity (no
         // drop, eviction, or ECN mark is possible against a zero
@@ -157,7 +164,7 @@ impl SimCore {
         // off whenever a telemetry sink is installed so QueueDepth
         // events keep their exact pre-existing cadence.
         if self.sink.is_none()
-            && !self.topo.channels[li].busy
+            && !busy
             && self.topo.channels[li].up
             && self.queues[li].passes_through(pkt.wire_bytes)
         {
@@ -216,34 +223,54 @@ impl SimCore {
                 }
             }
         }
-        if !self.topo.channels[li].busy {
+        if !busy {
             self.start_tx(link);
+        } else if !self.queues[li].is_empty() {
+            self.arm_departure(link);
         }
     }
 
-    /// Begins serializing the next queued packet, if any. A downed
-    /// channel blocks here (egress stalls until `LinkUp` kicks it).
+    /// Begins serializing the next queued packet, if any, and arms the
+    /// new departure when more packets wait. A downed channel blocks here
+    /// (egress stalls until `LinkUp` kicks it).
     fn start_tx(&mut self, link: LinkId) {
         let li = link.index();
         if !self.topo.channels[li].up {
-            self.topo.channels[li].busy = false;
             return;
         }
         let Some(pkt) = self.queues[li].dequeue() else {
-            self.topo.channels[li].busy = false;
             return;
         };
         self.transmit(link, pkt);
+        if !self.queues[li].is_empty() {
+            self.arm_departure(link);
+        }
     }
 
-    /// Serializes `pkt` on an idle, up channel: marks it busy, schedules
-    /// the channel-idle departure, and (unless loss fires) the delivery.
-    /// Shared tail of [`SimCore::start_tx`] and the cut-through path in
-    /// [`SimCore::enqueue_on`].
+    /// Schedules the busy channel's departure as a `ChannelIdle` event
+    /// (once), under the seq [`SimCore::transmit`] reserved for it.
+    fn arm_departure(&mut self, link: LinkId) {
+        let ch = &mut self.topo.channels[link.index()];
+        if !ch.armed {
+            debug_assert!(
+                (self.now, self.seq) < (ch.idle_at, ch.idle_seq),
+                "departure armed before the current event"
+            );
+            ch.armed = true;
+            self.events
+                .schedule_departure(ch.idle_at, ch.idle_seq, link);
+        }
+    }
+
+    /// Serializes `pkt` on an idle, up channel: reserves the departure's
+    /// seq (the departure becomes an event only if a packet queues behind
+    /// this one, see [`SimCore::arm_departure`]) and schedules the
+    /// delivery unless loss fires. Shared tail of [`SimCore::start_tx`]
+    /// and the cut-through path in [`SimCore::enqueue_on`].
     fn transmit(&mut self, link: LinkId, pkt: Packet) {
         let li = link.index();
         let ch = &mut self.topo.channels[li];
-        ch.busy = true;
+        debug_assert!(!ch.armed, "transmit with a departure pending");
         let (done, arrival) = ch.serialize_spans(self.now, pkt.wire_bytes);
         ch.bytes_sent += u64::from(pkt.wire_bytes);
         ch.packets_sent += 1;
@@ -252,7 +279,11 @@ impl SimCore {
         if let Some(trace) = self.traces[li].as_mut() {
             trace.record(done, pkt.flow, pkt.wire_bytes);
         }
-        self.events.schedule(done, EventKind::ChannelIdle { link });
+        // Reserved before the delivery is scheduled, so an armed
+        // departure sorts exactly where an always-scheduled one would and
+        // every later event gets the same seq either way (`crate::event`).
+        ch.idle_at = done;
+        ch.idle_seq = self.events.reserve_seq();
         // Loss applies to every packet — acks included: a lossy wire does
         // not know about TCP semantics. Draws come from the link's own
         // stream so drop patterns are interleaving-independent.
@@ -319,8 +350,9 @@ impl SimCore {
                 self.emit_fault(link, FaultKind::LinkUp, 1.0);
                 // Resume egress for traffic that queued during the
                 // outage (unless a doomed serialization is still
-                // pending, in which case its ChannelIdle resumes us).
-                if !self.topo.channels[li].busy {
+                // pending: packets queued behind it armed its
+                // ChannelIdle, which resumes us).
+                if !self.topo.channels[li].busy(self.now, self.seq) {
                     self.start_tx(link);
                 }
             }
@@ -486,6 +518,7 @@ impl Simulator {
         Self {
             core: SimCore {
                 now: SimTime::ZERO,
+                seq: 0,
                 events: EventQueue::new(),
                 topo,
                 queues,
@@ -676,6 +709,7 @@ impl Simulator {
     fn dispatch(&mut self, ev: Popped) {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
+        self.core.seq = ev.seq;
         self.core.stats.events += 1;
         if self.profiler.is_some() {
             // Label indices match PROFILE_LABELS order.
@@ -702,6 +736,7 @@ impl Simulator {
     fn dispatch_kind(&mut self, kind: PoppedKind) {
         match kind {
             PoppedKind::ChannelIdle { link } => {
+                self.core.topo.channels[link.index()].armed = false;
                 self.core.start_tx(link);
             }
             PoppedKind::Deliver(dv) => {
@@ -1289,6 +1324,95 @@ mod tests {
         );
         let delivers = snap.find("deliver").unwrap();
         assert_eq!(delivers.events, 20); // 10 data + 10 acks
+
+        // Each of the first nine data packets departs with the next one
+        // queued behind it; the tenth and every ack leave an empty queue,
+        // so their departures are not events.
+        assert_eq!(snap.find("channel_idle").unwrap().events, 9);
+    }
+
+    #[test]
+    fn lone_packet_schedules_no_departure() {
+        let (sim, pinger, _) = pingpong_with_plan(&FaultPlan::new(), 1);
+        assert_eq!(sim.agent::<Pinger>(pinger).echoes, 1);
+        // The data delivery and the ack delivery; no `ChannelIdle`.
+        assert_eq!(sim.stats().events, 2);
+    }
+
+    /// A packet that reaches a channel at exactly the instant its
+    /// serializer frees up sees it busy if its event sorts before the
+    /// departure's `(time, seq)` key and idle if after, whether or not
+    /// the departure is an event. Before: the low-priority packet queues
+    /// behind the departing one, and the urgent packet that follows
+    /// overtakes it. After: it goes straight onto the wire and the urgent
+    /// packet waits behind it.
+    #[test]
+    fn arrival_at_departure_instant_follows_the_event_order() {
+        struct TieSender {
+            peer: NodeId,
+            tie: SimDuration,
+            timer_first: bool,
+        }
+        impl Agent for TieSender {
+            fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+                let me = ctx.node();
+                // The timer's seq sorts before or after the departure seq
+                // that sending reserves.
+                if self.timer_first {
+                    ctx.set_timer(self.tie, 0);
+                }
+                ctx.send(Packet::data(FlowId(1), me, self.peer, 0, 1000).with_priority(1000));
+                if !self.timer_first {
+                    ctx.set_timer(self.tie, 0);
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+                let me = ctx.node();
+                ctx.send(Packet::data(FlowId(1), me, self.peer, 1000, 1000).with_priority(1000));
+                ctx.send(Packet::data(FlowId(2), me, self.peer, 2000, 1000).with_priority(1));
+            }
+        }
+        struct Recorder {
+            seqs: Vec<u64>,
+        }
+        impl Agent for Recorder {
+            fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, pkt: Packet) {
+                if let SegmentHeader::Data { seq, .. } = pkt.header {
+                    self.seqs.push(seq);
+                }
+            }
+        }
+        let order = |timer_first: bool| {
+            let rate = Bandwidth::mbps(1);
+            let mut b = TopologyBuilder::new();
+            let h0 = b.host("h0");
+            let h1 = b.host("h1");
+            let spec = LinkSpec::new(rate, SimDuration::micros(1))
+                .with_queue(QueueKind::StrictPriority { cap_bytes: 100_000 });
+            b.link(h0, h1, spec);
+            let mut sim = Simulator::new(b.build().unwrap(), 0);
+            let wire = Packet::data(FlowId(1), h0, h1, 0, 1000).wire_bytes;
+            sim.add_agent(
+                h0,
+                TieSender {
+                    peer: h1,
+                    tie: rate.tx_time(wire),
+                    timer_first,
+                },
+            );
+            let rec = sim.add_agent(h1, Recorder { seqs: vec![] });
+            sim.bind_flow(FlowId(1), rec);
+            sim.bind_flow(FlowId(2), rec);
+            sim.run();
+            sim.agent::<Recorder>(rec).seqs.clone()
+        };
+        assert_eq!(
+            order(true),
+            vec![0, 2000, 1000],
+            "queued behind the departure"
+        );
+        assert_eq!(order(false), vec![0, 1000, 2000], "cut through after it");
     }
 
     #[test]

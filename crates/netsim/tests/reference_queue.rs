@@ -1,7 +1,8 @@
 //! The event queue against a reference model: a plain `BinaryHeap` in
 //! `(time, seq)` order with its own sequence counter. The queue's timing
 //! wheel and link rails are an optimisation of exactly that order, so
-//! under any interleaving of schedules and pops both must pop the same
+//! under any interleaving of schedules, seq reservations, departures
+//! inserted later under a reserved seq, and pops, both must pop the same
 //! `(time, seq, kind)` stream.
 
 use mltcp_netsim::event::{Delivery, EventKind, EventQueue, Popped};
@@ -19,17 +20,32 @@ type Record = (u64, u64, String);
 
 /// The reference model. The kind is stored as its debug form; `(time,
 /// seq)` is unique, so the string never decides the order.
-#[derive(Default)]
 struct ReferenceQueue {
     next_seq: u64,
     heap: BinaryHeap<Reverse<(SimTime, u64, String)>>,
 }
 
 impl ReferenceQueue {
-    fn schedule(&mut self, at: SimTime, kind: &EventKind) {
-        self.heap
-            .push(Reverse((at, self.next_seq, format!("{kind:?}"))));
+    fn new() -> Self {
+        // The queue numbers events from 1.
+        Self {
+            next_seq: 1,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn reserve(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn insert(&mut self, at: SimTime, seq: u64, kind: &EventKind) {
+        self.heap.push(Reverse((at, seq, format!("{kind:?}"))));
+    }
+
+    fn schedule(&mut self, at: SimTime, kind: &EventKind) {
+        let seq = self.reserve();
+        self.insert(at, seq, kind);
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Option<Record> {
@@ -50,6 +66,12 @@ enum Op {
     Schedule(SimTime, EventKind),
     /// Through `schedule_delivery`, the simulator's per-packet path.
     Deliver(SimTime, Delivery),
+    /// Reserves a seq for a departure of `link` at the given time, as the
+    /// simulator does when a packet starts serializing.
+    Reserve(SimTime, LinkId),
+    /// Inserts the departure of the `n`-th oldest open reservation (modulo
+    /// their count) under its reserved seq; a no-op with none open.
+    Depart(usize),
     PopBefore(SimTime),
 }
 
@@ -57,10 +79,23 @@ enum Op {
 /// both, and returns their pop streams as `(queue, reference)`.
 fn run_both(ops: impl IntoIterator<Item = Op>) -> (Vec<Record>, Vec<Record>) {
     let mut q = EventQueue::new();
-    let mut r = ReferenceQueue::default();
+    let mut r = ReferenceQueue::new();
     let (mut got, mut want) = (Vec::new(), Vec::new());
+    let mut open: Vec<(SimTime, u64, LinkId)> = Vec::new();
     for op in ops {
         match op {
+            Op::Reserve(at, link) => {
+                let seq = q.reserve_seq();
+                assert_eq!(seq, r.reserve(), "reserved seqs diverged");
+                open.push((at, seq, link));
+            }
+            Op::Depart(n) => {
+                if !open.is_empty() {
+                    let (at, seq, link) = open.remove(n % open.len());
+                    r.insert(at, seq, &EventKind::ChannelIdle { link });
+                    q.schedule_departure(at, seq, link);
+                }
+            }
             Op::Schedule(at, kind) => {
                 r.schedule(at, &kind);
                 q.schedule(at, kind);
@@ -91,8 +126,9 @@ fn delivery(via: LinkId, seq: u64) -> Delivery {
 }
 
 /// A fixed but irregular mix of link traffic (in-order and deliberately
-/// out-of-order deliveries, paired and duplicate departures, host-local
-/// sends), near and far timers, and pops with and without a deadline.
+/// out-of-order deliveries, paired and duplicate departures, departures
+/// inserted later under a reserved seq, host-local sends), near and far
+/// timers, and pops with and without a deadline.
 #[test]
 fn wheel_pops_like_the_reference_on_mixed_traffic() {
     let mut t = 0u64;
@@ -106,7 +142,12 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
         let at = SimTime(t - t % 3); // force some equal stamps
         let link = LinkId((r % 4) as u32);
         match op % 8 {
-            0 | 1 => Op::Schedule(at, EventKind::ChannelIdle { link }),
+            0 if op & 16 == 0 => Op::Schedule(at, EventKind::ChannelIdle { link }),
+            // A reservation sorts among the events scheduled around it,
+            // whenever its departure is inserted.
+            0 => Op::Reserve(SimTime(t + r % 20_000), link),
+            1 if op & 16 == 0 => Op::Depart((r >> 20) as usize),
+            1 => Op::Reserve(at, link),
             2..=4 => {
                 // Arrivals earlier than the rail tail exercise the wheel
                 // fallback; `LinkId::NONE` is a host-local send.
@@ -135,7 +176,16 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
             _ => Op::PopBefore(if op & 8 == 0 { SimTime::MAX } else { at }),
         }
     });
-    let (got, want) = run_both(ops);
+    // Two departures of one link inserted back to back: the later-
+    // reserved, earlier one finds the rail slot taken and must pop from
+    // the wheel fallback before the one on the rail.
+    let collide = [
+        Op::Reserve(SimTime(9_000), LinkId(0)),
+        Op::Reserve(SimTime(8_000), LinkId(0)),
+        Op::Depart(0),
+        Op::Depart(0),
+    ];
+    let (got, want) = run_both(collide.into_iter().chain(ops));
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "divergence at pop {i}");
@@ -146,7 +196,7 @@ proptest! {
     /// Random insert/pop interleavings, with same-timestamp ties and a
     /// time spread across several wheel horizons.
     #[test]
-    fn wheel_matches_reference(ops in proptest::collection::vec((0u64..30_000_000, 0u8..11), 1..300)) {
+    fn wheel_matches_reference(ops in proptest::collection::vec((0u64..30_000_000, 0u8..13), 1..300)) {
         let ops = ops.iter().enumerate().map(|(i, &(t, op))| {
             // Quantize times so ties are common.
             let at = SimTime(t - t % 1000);
@@ -159,6 +209,8 @@ proptest! {
                 6 => Op::Deliver(at, delivery(link, 0)),
                 7 => Op::Schedule(at, EventKind::Message { to: 0, from: 1, token: i }),
                 8 => Op::PopBefore(at),
+                9 => Op::Reserve(at, LinkId((t % 3) as u32)),
+                10 => Op::Depart(t as usize),
                 _ => Op::PopBefore(SimTime::MAX),
             }
         });
