@@ -59,6 +59,12 @@
 //! pop order. Numbering starts at 1, leaving `(t, 0)` below every event
 //! at `t`.
 //!
+//! The simulator's per-agent timer slot uses the same pattern:
+//! [`EventQueue::schedule_timer_reserved`] inserts a `Timer` under a seq a
+//! re-arm reserved earlier, so the slot's one queued event can move to
+//! the latest deadline and still pop where a timer scheduled at that
+//! re-arm would have (see `AgentCtx::rearm_timer` in [`crate::sim`]).
+//!
 //! ## Event size
 //!
 //! The wheel's heaps sift whole events, so [`EventKind::Deliver`] boxes
@@ -679,7 +685,8 @@ impl EventQueue {
     }
 
     /// Takes the next sequence number without scheduling anything, so a
-    /// later [`EventQueue::schedule_departure`] can insert an event that
+    /// later [`EventQueue::schedule_departure`] or
+    /// [`EventQueue::schedule_timer_reserved`] can insert an event that
     /// sorts exactly where it would have had it been scheduled now.
     pub fn reserve_seq(&mut self) -> u64 {
         self.bump()
@@ -693,6 +700,17 @@ impl EventQueue {
         debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
         self.len += 1;
         self.insert_departure(at, seq, link);
+    }
+
+    /// Schedules `Timer { agent, token }` at `(at, seq)`, where `seq` came
+    /// from [`EventQueue::reserve_seq`] and has not been used since. The
+    /// simulator's per-agent timer slot inserts its one pending event
+    /// this way (see the module docs, *Reserved sequence numbers*).
+    pub fn schedule_timer_reserved(&mut self, at: SimTime, seq: u64, agent: u32, token: u64) {
+        debug_assert!(seq < self.next_seq, "timer under an unreserved seq");
+        self.len += 1;
+        let kind = EventKind::Timer { agent, token };
+        self.wheel.push(Event { at, seq, kind });
     }
 
     fn insert_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
@@ -817,7 +835,11 @@ impl EventQueue {
     }
 
     /// Approximate retained capacity, in event-sized slots — the
-    /// observable the capacity-release tests bound.
+    /// observable the capacity-release tests bound. It counts only the
+    /// buffers a drain would release: wheel buckets and rail deques at or
+    /// below `KEEP_CAPACITY` (64 slots) are left out, so up to
+    /// 2048 buckets × 64 slots × 40 bytes ≈ 5 MiB of bucket storage can
+    /// be held without showing here.
     pub fn capacity(&self) -> usize {
         self.wheel.capacity() + self.rails.capacity() + self.pool.len()
     }

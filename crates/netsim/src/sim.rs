@@ -55,6 +55,11 @@ const PROFILE_AGENT_START: usize = 5;
 /// Profiler label index for event-queue pops (scheduler overhead).
 const PROFILE_SCHED: usize = 6;
 
+/// The token [`Agent::on_timer`] receives when the agent's timer slot
+/// fires (see [`AgentCtx::rearm_timer`]). [`AgentCtx::set_timer`] must
+/// not use it.
+pub const SLOT_TOKEN: u64 = u64::MAX;
+
 /// Handle to an agent registered with a simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AgentId(pub usize);
@@ -75,7 +80,9 @@ pub trait Agent: Any {
     /// host.
     fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet);
 
-    /// A timer armed via [`AgentCtx::set_timer`] fired.
+    /// A timer armed via [`AgentCtx::set_timer`] fired with its `token`,
+    /// or the timer slot armed via [`AgentCtx::rearm_timer`] fired with
+    /// [`SLOT_TOKEN`].
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
         let _ = (ctx, token);
     }
@@ -92,12 +99,27 @@ pub struct SimStats {
     /// Events processed. A channel departure with no packet waiting
     /// behind it is not an event (see [`crate::event`]): `ChannelIdle`
     /// counts only the departures that a queued packet was waiting for.
+    /// Likewise a timer-slot re-arm is not an event; the slot's queued
+    /// event counts each time it pops, whether it fires, moves to a later
+    /// deadline or is dropped (see [`AgentCtx::rearm_timer`]).
     pub events: u64,
     /// Packets delivered to host agents.
     pub delivered: u64,
     /// Packets dropped (queue overflow, eviction, random loss, or no
     /// route).
     pub dropped: u64,
+}
+
+/// An agent's re-armable timer (see [`AgentCtx::rearm_timer`]), as
+/// `(time, seq)` keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimerSlot {
+    /// When the slot fires, under the seq its latest re-arm reserved;
+    /// `None` when cancelled or fired.
+    deadline: Option<(SimTime, u64)>,
+    /// The key of the one queued event the slot still trusts. Invariant:
+    /// a set deadline is never earlier than it.
+    pending: Option<(SimTime, u64)>,
 }
 
 /// Everything except the agents themselves — what an [`AgentCtx`] can
@@ -135,6 +157,8 @@ struct SimCore {
     /// which agent receives packets of a given flow at this host.
     flow_tables: Vec<Vec<(FlowId, AgentId)>>,
     agent_hosts: Vec<NodeId>,
+    /// Per-agent timer slots, indexed by agent.
+    slots: Vec<TimerSlot>,
     stats: SimStats,
     /// Installed telemetry sink, if any. Emission sites gate on
     /// `is_some()` and construct events only in the taken branch, so the
@@ -303,6 +327,33 @@ impl SimCore {
         }
     }
 
+    /// Handles `agent`'s slot event popping at the current `(now, seq)`
+    /// key and returns whether the slot fires (it is then cleared). An
+    /// event the slot no longer trusts is dropped, as is one whose
+    /// deadline was cancelled; one that pops before a later deadline is
+    /// re-inserted at it under the deadline's reserved seq. None of this
+    /// touches an RNG, a channel or an agent.
+    fn slot_due(&mut self, agent: u32) -> bool {
+        let key = (self.now, self.seq);
+        let slot = &mut self.slots[agent as usize];
+        if slot.pending != Some(key) {
+            return false;
+        }
+        match slot.deadline {
+            Some((at, seq)) if (at, seq) != key => {
+                debug_assert!(key < (at, seq), "slot deadline before its event");
+                slot.pending = slot.deadline;
+                self.events
+                    .schedule_timer_reserved(at, seq, agent, SLOT_TOKEN);
+                false
+            }
+            deadline => {
+                *slot = TimerSlot::default();
+                deadline.is_some()
+            }
+        }
+    }
+
     /// Records a fault epoch on the sink, if one is installed.
     fn emit_fault(&mut self, link: LinkId, kind: FaultKind, factor: f64) {
         if let Some(sink) = self.sink.as_mut() {
@@ -429,10 +480,13 @@ impl AgentCtx<'_> {
         self.core.forward(host, pkt);
     }
 
-    /// Arms a timer to fire `after` from now with an opaque `token`.
-    /// Timers cannot be cancelled; use generation counters in the token
-    /// for lazy invalidation (as the TCP RTO does).
+    /// Arms a timer to fire `after` from now with an opaque `token`
+    /// (anything but [`SLOT_TOKEN`]). Timers cannot be cancelled: every
+    /// call queues an event that fires. A deadline that keeps moving (a
+    /// retransmission timeout, as the TCP RTO is) belongs in the timer
+    /// slot instead ([`AgentCtx::rearm_timer`]).
     pub fn set_timer(&mut self, after: SimDuration, token: u64) {
+        debug_assert_ne!(token, SLOT_TOKEN, "set_timer with the slot's token");
         let at = self.core.now.saturating_add(after);
         self.core.events.schedule(
             at,
@@ -441,6 +495,34 @@ impl AgentCtx<'_> {
                 token,
             },
         );
+    }
+
+    /// Arms this agent's timer slot to fire `after` from now, replacing
+    /// any earlier deadline; [`Agent::on_timer`] then receives
+    /// [`SLOT_TOKEN`]. The slot fires at exactly the `(time, seq)` key a
+    /// `set_timer(after, _)` call here would have given its event, so
+    /// swapping a generation-checked `set_timer` for the slot moves no
+    /// event in the pop order. But the slot keeps at most one event
+    /// queued: a re-arm reserves a seq for the new deadline and schedules
+    /// an event only when the deadline moves earlier than the queued one.
+    /// An event that pops before the deadline moves to it.
+    pub fn rearm_timer(&mut self, after: SimDuration) {
+        let at = self.core.now.saturating_add(after);
+        let seq = self.core.events.reserve_seq();
+        let agent = self.id.0;
+        let slot = &mut self.core.slots[agent];
+        slot.deadline = Some((at, seq));
+        if slot.pending.is_none_or(|p| (at, seq) < p) {
+            slot.pending = slot.deadline;
+            self.core
+                .events
+                .schedule_timer_reserved(at, seq, agent as u32, SLOT_TOKEN);
+        }
+    }
+
+    /// Disarms this agent's timer slot; a no-op when it is not armed.
+    pub fn cancel_timer(&mut self) {
+        self.core.slots[self.id.0].deadline = None;
     }
 
     /// Sends an asynchronous message to another agent (delivered at the
@@ -529,6 +611,7 @@ impl Simulator {
                 faults: Vec::new(),
                 flow_tables,
                 agent_hosts: Vec::new(),
+                slots: Vec::new(),
                 stats: SimStats::default(),
                 sink: None,
             },
@@ -539,7 +622,8 @@ impl Simulator {
     }
 
     /// Approximate retained capacity of the event queue, in event-sized
-    /// slots — observable for memory-high-water tests.
+    /// slots — observable for memory-high-water tests. Small buffers are
+    /// left out (see [`EventQueue::capacity`]).
     pub fn event_queue_capacity(&self) -> usize {
         self.core.events.capacity()
     }
@@ -560,6 +644,7 @@ impl Simulator {
             host,
         });
         self.core.agent_hosts.push(host);
+        self.core.slots.push(TimerSlot::default());
         id
     }
 
@@ -607,8 +692,9 @@ impl Simulator {
     }
 
     /// Enables the sim-time profiler: every subsequent dispatch is
-    /// timed with a wall clock and attributed to its event kind. This
-    /// costs two `Instant` reads per event, so it is off by default and
+    /// timed with a wall clock and attributed to its event kind, and
+    /// every pop to `sched`. This costs four `Instant` reads per event
+    /// (two in the dispatch, two in the pop), so it is off by default and
     /// intended for per-layer diagnosis (`perfbench`), not routine runs. It
     /// never affects simulation results — only wall-clock accounting.
     pub fn enable_profiler(&mut self) {
@@ -782,6 +868,9 @@ impl Simulator {
                 }
             }
             PoppedKind::Timer { agent, token } => {
+                if token == SLOT_TOKEN && !self.core.slot_due(agent) {
+                    return;
+                }
                 self.with_agent(agent as usize, |a, ctx| a.on_timer(ctx, token));
             }
             PoppedKind::Message { to, from, token } => {
@@ -1466,6 +1555,94 @@ mod tests {
                 (1, SimTime(5_000_000)),
                 (3, SimTime(11_000_000)),
             ]
+        );
+    }
+
+    /// Sends `pkts` packets at start and re-arms a 1 ms timer slot on
+    /// every echo; records each re-arm and each time the slot fires.
+    struct Watchdog {
+        peer: NodeId,
+        pkts: u32,
+        rearms: Vec<SimTime>,
+        fired: Vec<SimTime>,
+    }
+
+    impl Agent for Watchdog {
+        fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+            let me = ctx.node();
+            for i in 0..self.pkts {
+                let seq = u64::from(i) * 1500;
+                ctx.send(Packet::data(FlowId(1), me, self.peer, seq, 1500));
+            }
+        }
+        fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, _pkt: Packet) {
+            self.rearms.push(ctx.now());
+            ctx.rearm_timer(SimDuration::millis(1));
+        }
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+            assert_eq!(token, SLOT_TOKEN);
+            self.fired.push(ctx.now());
+        }
+    }
+
+    /// A slot re-armed on each of 1,000 echoes spread over 10 ms fires
+    /// once, 1 ms after the last re-arm, and its one queued event pops
+    /// about once per millisecond rather than once per re-arm.
+    #[test]
+    fn rearmed_slot_fires_once_and_pops_once_per_interval() {
+        // 1540 wire bytes at 1232 Mbps take 10 µs, so the echoes arrive
+        // 10 µs apart.
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0");
+        let h1 = b.host("h1");
+        let spec = LinkSpec::new(Bandwidth::mbps(1232), SimDuration::micros(5)).with_queue(
+            QueueKind::DropTail {
+                cap_bytes: 2_000_000,
+            },
+        );
+        b.link(h0, h1, spec);
+        let mut sim = Simulator::new(b.build().unwrap(), 1);
+        let dog = sim.add_agent(
+            h0,
+            Watchdog {
+                peer: h1,
+                pkts: 1000,
+                rearms: vec![],
+                fired: vec![],
+            },
+        );
+        let echoer = sim.add_agent(h1, Echoer { received: 0 });
+        sim.bind_flow(FlowId(1), dog);
+        sim.bind_flow(FlowId(1), echoer);
+        sim.enable_profiler();
+        sim.run();
+
+        let w = sim.agent::<Watchdog>(dog);
+        assert_eq!(w.rearms.len(), 1000);
+        let (first, last) = (w.rearms[0], *w.rearms.last().unwrap());
+        assert_eq!(w.fired, vec![last + SimDuration::millis(1)]);
+        let span = (last - first).as_nanos();
+        assert!(span > 9_900_000, "echoes span {span} ns");
+        // The first pop is 1 ms after the first re-arm. Each pop before
+        // the deadline moves the event to the latest re-arm + 1 ms, at
+        // least `1 ms - gap` later, and the last such pop precedes the
+        // last re-arm + 1 ms. With the one firing pop, that bounds the
+        // count below `span / (1 ms - gap) + 2`.
+        let gap = w
+            .rearms
+            .windows(2)
+            .map(|p| (p[1] - p[0]).as_nanos())
+            .max()
+            .unwrap();
+        let timers = sim
+            .profile_snapshot()
+            .unwrap()
+            .find("timer")
+            .unwrap()
+            .events;
+        assert!(
+            (timers - 2) * (1_000_000 - gap) < span,
+            "{timers} timer events over {span} ns with {gap} ns gaps"
         );
     }
 

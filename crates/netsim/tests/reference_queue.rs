@@ -1,9 +1,9 @@
 //! The event queue against a reference model: a plain `BinaryHeap` in
 //! `(time, seq)` order with its own sequence counter. The queue's timing
 //! wheel and link rails are an optimisation of exactly that order, so
-//! under any interleaving of schedules, seq reservations, departures
-//! inserted later under a reserved seq, and pops, both must pop the same
-//! `(time, seq, kind)` stream.
+//! under any interleaving of schedules, seq reservations, departures and
+//! timers inserted later under a reserved seq, and pops, both must pop
+//! the same `(time, seq, kind)` stream.
 
 use mltcp_netsim::event::{Delivery, EventKind, EventQueue, Popped};
 use mltcp_netsim::link::LinkId;
@@ -61,17 +61,27 @@ fn record(p: Popped) -> Record {
     (p.at.0, p.seq, format!("{:?}", p.kind))
 }
 
+/// The event a reservation's seq is later inserted under.
+#[derive(Clone, Copy)]
+enum Reserved {
+    /// A departure of the link (`schedule_departure`), as the simulator
+    /// reserves when a packet starts serializing.
+    Departure(LinkId),
+    /// A timer of the agent (`schedule_timer_reserved`), as a timer-slot
+    /// re-arm reserves; its token is the seq.
+    Timer(u32),
+}
+
 /// One step of a schedule/pop interleaving.
 enum Op {
     Schedule(SimTime, EventKind),
     /// Through `schedule_delivery`, the simulator's per-packet path.
     Deliver(SimTime, Delivery),
-    /// Reserves a seq for a departure of `link` at the given time, as the
-    /// simulator does when a packet starts serializing.
-    Reserve(SimTime, LinkId),
-    /// Inserts the departure of the `n`-th oldest open reservation (modulo
+    /// Reserves a seq for an event at the given time.
+    Reserve(SimTime, Reserved),
+    /// Inserts the event of the `n`-th oldest open reservation (modulo
     /// their count) under its reserved seq; a no-op with none open.
-    Depart(usize),
+    Insert(usize),
     PopBefore(SimTime),
 }
 
@@ -81,19 +91,28 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> (Vec<Record>, Vec<Record>) {
     let mut q = EventQueue::new();
     let mut r = ReferenceQueue::new();
     let (mut got, mut want) = (Vec::new(), Vec::new());
-    let mut open: Vec<(SimTime, u64, LinkId)> = Vec::new();
+    let mut open: Vec<(SimTime, u64, Reserved)> = Vec::new();
     for op in ops {
         match op {
-            Op::Reserve(at, link) => {
+            Op::Reserve(at, what) => {
                 let seq = q.reserve_seq();
                 assert_eq!(seq, r.reserve(), "reserved seqs diverged");
-                open.push((at, seq, link));
+                open.push((at, seq, what));
             }
-            Op::Depart(n) => {
+            Op::Insert(n) => {
                 if !open.is_empty() {
-                    let (at, seq, link) = open.remove(n % open.len());
-                    r.insert(at, seq, &EventKind::ChannelIdle { link });
-                    q.schedule_departure(at, seq, link);
+                    let (at, seq, what) = open.remove(n % open.len());
+                    match what {
+                        Reserved::Departure(link) => {
+                            r.insert(at, seq, &EventKind::ChannelIdle { link });
+                            q.schedule_departure(at, seq, link);
+                        }
+                        Reserved::Timer(agent) => {
+                            let token = seq;
+                            r.insert(at, seq, &EventKind::Timer { agent, token });
+                            q.schedule_timer_reserved(at, seq, agent, token);
+                        }
+                    }
                 }
             }
             Op::Schedule(at, kind) => {
@@ -128,7 +147,8 @@ fn delivery(via: LinkId, seq: u64) -> Delivery {
 /// A fixed but irregular mix of link traffic (in-order and deliberately
 /// out-of-order deliveries, paired and duplicate departures, departures
 /// inserted later under a reserved seq, host-local sends), near and far
-/// timers, and pops with and without a deadline.
+/// timers, some of them inserted later under a reserved seq, and pops
+/// with and without a deadline.
 #[test]
 fn wheel_pops_like_the_reference_on_mixed_traffic() {
     let mut t = 0u64;
@@ -145,9 +165,9 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
             0 if op & 16 == 0 => Op::Schedule(at, EventKind::ChannelIdle { link }),
             // A reservation sorts among the events scheduled around it,
             // whenever its departure is inserted.
-            0 => Op::Reserve(SimTime(t + r % 20_000), link),
-            1 if op & 16 == 0 => Op::Depart((r >> 20) as usize),
-            1 => Op::Reserve(at, link),
+            0 => Op::Reserve(SimTime(t + r % 20_000), Reserved::Departure(link)),
+            1 if op & 16 == 0 => Op::Insert((r >> 20) as usize),
+            1 => Op::Reserve(at, Reserved::Departure(link)),
             2..=4 => {
                 // Arrivals earlier than the rail tail exercise the wheel
                 // fallback; `LinkId::NONE` is a host-local send.
@@ -168,11 +188,15 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
                     Op::Schedule(at, EventKind::Deliver(Box::new(d)))
                 }
             }
-            5 => Op::Schedule(
+            5 if op & 16 == 0 => Op::Schedule(
                 SimTime(t + 50_000_000), // overflow range
                 EventKind::Timer { agent: 0, token: i },
             ),
-            6 => Op::Schedule(at, EventKind::Timer { agent: 0, token: i }),
+            // Timer reservations, some past the wheel horizon, inserted
+            // by a later `Insert`.
+            5 => Op::Reserve(SimTime(t + r % 20_000_000), Reserved::Timer(1)),
+            6 if op & 16 == 0 => Op::Schedule(at, EventKind::Timer { agent: 0, token: i }),
+            6 => Op::Reserve(at, Reserved::Timer(1)),
             _ => Op::PopBefore(if op & 8 == 0 { SimTime::MAX } else { at }),
         }
     });
@@ -180,10 +204,10 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
     // reserved, earlier one finds the rail slot taken and must pop from
     // the wheel fallback before the one on the rail.
     let collide = [
-        Op::Reserve(SimTime(9_000), LinkId(0)),
-        Op::Reserve(SimTime(8_000), LinkId(0)),
-        Op::Depart(0),
-        Op::Depart(0),
+        Op::Reserve(SimTime(9_000), Reserved::Departure(LinkId(0))),
+        Op::Reserve(SimTime(8_000), Reserved::Departure(LinkId(0))),
+        Op::Insert(0),
+        Op::Insert(0),
     ];
     let (got, want) = run_both(collide.into_iter().chain(ops));
     assert_eq!(got.len(), want.len());
@@ -196,7 +220,7 @@ proptest! {
     /// Random insert/pop interleavings, with same-timestamp ties and a
     /// time spread across several wheel horizons.
     #[test]
-    fn wheel_matches_reference(ops in proptest::collection::vec((0u64..30_000_000, 0u8..13), 1..300)) {
+    fn wheel_matches_reference(ops in proptest::collection::vec((0u64..30_000_000, 0u8..15), 1..300)) {
         let ops = ops.iter().enumerate().map(|(i, &(t, op))| {
             // Quantize times so ties are common.
             let at = SimTime(t - t % 1000);
@@ -209,8 +233,11 @@ proptest! {
                 6 => Op::Deliver(at, delivery(link, 0)),
                 7 => Op::Schedule(at, EventKind::Message { to: 0, from: 1, token: i }),
                 8 => Op::PopBefore(at),
-                9 => Op::Reserve(at, LinkId((t % 3) as u32)),
-                10 => Op::Depart(t as usize),
+                9 => Op::Reserve(at, Reserved::Departure(LinkId((t % 3) as u32))),
+                10 => Op::Insert(t as usize),
+                11 => Op::Reserve(at, Reserved::Timer(1)),
+                // Past the wheel horizon from any cursor below `t`.
+                12 => Op::Reserve(SimTime(t + 20_000_000), Reserved::Timer(2)),
                 _ => Op::PopBefore(SimTime::MAX),
             }
         });

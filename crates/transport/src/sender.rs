@@ -15,7 +15,7 @@ use crate::proto::{self, Msg};
 use crate::rtt::RttEstimator;
 use mltcp_netsim::node::NodeId;
 use mltcp_netsim::packet::{EcnCodepoint, FlowId, Packet, SegmentHeader};
-use mltcp_netsim::sim::{Agent, AgentCtx, AgentId};
+use mltcp_netsim::sim::{Agent, AgentCtx, AgentId, SLOT_TOKEN};
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_telemetry::{RetxKind, TelemetryEvent};
 use std::collections::VecDeque;
@@ -155,8 +155,7 @@ pub struct TcpSender {
     /// acks drain from the front with zero per-ack allocation — this is
     /// the per-ack hot path.
     send_times: VecDeque<(u64, SimTime, bool)>,
-    /// RTO timer generation (lazy cancellation).
-    rto_gen: u64,
+    /// Whether the RTO is armed, on the agent's timer slot.
     rto_armed: bool,
     /// Completion log: (time, transfer bytes).
     completions: Vec<(SimTime, u64)>,
@@ -204,7 +203,6 @@ impl TcpSender {
             dup_acks: 0,
             resend_below: 0,
             send_times: VecDeque::new(),
-            rto_gen: 0,
             rto_armed: false,
             completions: Vec::new(),
             last_progress_at: SimTime::ZERO,
@@ -301,16 +299,16 @@ impl TcpSender {
         self.emit_cwnd(ctx);
     }
 
+    /// (Re)starts the RTO. Runs on every advancing ack, so it uses the
+    /// timer slot, which queues no event per call.
     fn arm_rto(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.rto_gen += 1;
         self.rto_armed = true;
-        let rto = self.rtt.rto();
-        ctx.set_timer(rto, self.rto_gen);
+        ctx.rearm_timer(self.rtt.rto());
     }
 
-    fn disarm_rto(&mut self) {
-        self.rto_gen += 1;
+    fn disarm_rto(&mut self, ctx: &mut AgentCtx<'_>) {
         self.rto_armed = false;
+        ctx.cancel_timer();
     }
 
     fn transmit_new(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -466,7 +464,7 @@ impl TcpSender {
         }
 
         if self.snd_una == self.stream_end && self.snd_una == self.snd_nxt {
-            self.disarm_rto();
+            self.disarm_rto(ctx);
         } else {
             self.arm_rto(ctx);
         }
@@ -509,9 +507,9 @@ impl Agent for TcpSender {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        if token != self.rto_gen || !self.rto_armed {
-            return; // stale timer
-        }
+        // The RTO is the sender's only timer, and the slot fires only
+        // while it is armed.
+        debug_assert!(token == SLOT_TOKEN && self.rto_armed);
         if self.snd_una >= self.stream_end {
             self.rto_armed = false;
             return;
@@ -542,5 +540,92 @@ impl Agent for TcpSender {
         if let Some(Msg::StartTransfer { bytes }) = proto::decode(token) {
             self.start_transfer(ctx, bytes);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cc::Reno;
+    use crate::install_connection;
+    use mltcp_netsim::prelude::*;
+
+    /// Starts one transfer at t = 0 and records when it completes.
+    struct OneShot {
+        sender: Option<AgentId>,
+        done_at: Option<SimTime>,
+    }
+
+    impl Agent for OneShot {
+        fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+            let s = self.sender.expect("wired before run");
+            let bytes = 1_500_000;
+            ctx.send_message(s, proto::encode(Msg::StartTransfer { bytes }));
+        }
+        fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
+        fn on_message(&mut self, ctx: &mut AgentCtx<'_>, _from: AgentId, token: u64) {
+            if let Some(Msg::TransferComplete { .. }) = proto::decode(token) {
+                self.done_at = Some(ctx.now());
+            }
+        }
+    }
+
+    /// A forward-link outage mid-transfer, then a bursty-loss window
+    /// after the repair. The RTO statistics are pinned to the values the
+    /// simulator produced when every ack scheduled its own timer event,
+    /// so moving the RTO onto the agent's timer slot must leave every
+    /// timeout at the same instant.
+    #[test]
+    fn blackout_timeouts_match_recorded_values() {
+        let mut b = TopologyBuilder::new();
+        let h0 = b.host("h0");
+        let h1 = b.host("h1");
+        let spec = LinkSpec::new(Bandwidth::gbps(10), SimDuration::micros(20));
+        let fwd = b.directed(h0, h1, spec);
+        b.directed(h1, h0, spec);
+        let mut sim = Simulator::new(b.build().unwrap(), 7);
+        let plan = FaultPlan::new()
+            .link_flap(fwd, SimTime(500_000), SimDuration::millis(8))
+            .loss_window(
+                fwd,
+                SimTime(9_000_000),
+                SimDuration::millis(1),
+                LossModel::GilbertElliott(GilbertElliott::bursty(0.1, 0.3, 0.8)),
+            );
+        sim.install_faults(&plan);
+        let driver = sim.add_agent(
+            h0,
+            OneShot {
+                sender: None,
+                done_at: None,
+            },
+        );
+        let mut cfg = SenderConfig::new(FlowId(1), h1);
+        cfg.driver = Some(driver);
+        cfg.min_rto = SimDuration::micros(200);
+        cfg.max_rto = SimDuration::millis(1);
+        cfg.initial_rto = Some(SimDuration::micros(500));
+        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        sim.agent_mut::<OneShot>(driver).sender = Some(h.sender);
+        sim.run();
+
+        let done = sim.agent::<OneShot>(driver).done_at.expect("completes");
+        let st = sim.agent::<TcpSender>(h.sender).stats();
+        assert_eq!(done, SimTime(12_594_816));
+        assert_eq!(
+            st,
+            SenderStats {
+                job: 0,
+                segments_sent: 1428,
+                retransmits: 428,
+                timeouts: 10,
+                fast_retransmits: 9,
+                transfers_completed: 1,
+                blackouts: 2,
+                max_consecutive_timeouts: 9,
+                last_blackout_detect: SimDuration(1_000_000),
+                last_blackout_recovery: SimDuration(1_041_264),
+            }
+        );
     }
 }
