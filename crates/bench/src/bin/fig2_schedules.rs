@@ -14,7 +14,8 @@
 //!
 //! The four scheduler runs are independent simulations; they fan out
 //! over [`SweepRunner`] workers and the figure is assembled from the
-//! returned [`RunSummary`]s in input order.
+//! returned [`RunSummary`](mltcp_bench::experiments::RunSummary)s in
+//! input order.
 
 use mltcp_bench::experiments::{
     cassini_scenario, fig2_jobs, mix_deadline, pfabric_scenario, print_summary_table,

@@ -156,12 +156,13 @@ impl TelemetrySink for LineHasher {
 }
 
 /// FNV-1a of the JSONL event stream of a small faulted Fig. 2 scenario.
-/// The attached sink turns cut-through off, so every packet takes the
-/// enqueue path. The schedule downs the bottleneck while it serializes
-/// with a backlog (the stream has `drained` and `link_cut` drops), then
-/// browns it out and swaps in Gilbert–Elliott loss. The constant pins
-/// every queue sample, drop, fault and transport event in order, so a
-/// change to when channels start serializing cannot hide.
+/// Packets that cut through an idle channel record the same one-packet
+/// queue sample the enqueue path would, so the stream does not depend on
+/// which path a packet takes. The schedule downs the bottleneck while it
+/// serializes with a backlog (the stream has `drained` and `link_cut`
+/// drops), then browns it out and swaps in Gilbert–Elliott loss. The
+/// constant pins every queue sample, drop, fault and transport event in
+/// order, so a change to when channels start serializing cannot hide.
 const FAULTED_TRACE_FNV1A: u64 = 0xd043_56fc_7c7c_99b4;
 
 #[test]

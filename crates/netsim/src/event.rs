@@ -6,23 +6,28 @@
 //! bit-for-bit regardless of the engine's internals.
 //!
 //! The engine is a timing wheel plus per-link *rails*. The wheel gives
-//! `O(1)` inserts for timers/messages/faults; the rails exploit link
+//! `O(1)` inserts for timers, messages and faults; the rails exploit link
 //! serialization order so per-packet events never touch a heap at all
 //! (see below). The global pop takes the `(time, seq)`-minimum across
 //! the two. `tests/reference_queue.rs` pins the pop order against a
 //! plain `BinaryHeap` reference model.
 //!
+//! Each event kind has one typed entry point: [`EventQueue::schedule_timer`],
+//! [`EventQueue::schedule_message`] and [`EventQueue::schedule_fault`] go
+//! to the wheel; [`EventQueue::schedule_delivery`] and
+//! [`EventQueue::schedule_departure`] go to the rails.
+//!
 //! ## The timing wheel
 //!
-//! Near-future events land in one of [`WHEEL_SLOTS`] buckets of
-//! `2^WHEEL_SHIFT` ns each (4.096 µs — comfortably below the 50 µs RTO
-//! floor, so retransmission timers spread across buckets instead of
-//! piling into one). Insert is a `Vec::push`. A cursor walks the
-//! occupancy bitmap; the current bucket's events sit in a small `active`
-//! heap that restores exact `(time, seq)` order within the bucket.
-//! Events beyond the ~8.4 ms horizon go to an `overflow` heap that is
-//! drained bucket-wise as the cursor reaches them — far-future faults
-//! and coarse compute timers are rare, so the overflow heap stays tiny.
+//! Near-future events land in one of `WHEEL_SLOTS` (2048) buckets of
+//! `2^WHEEL_SHIFT` ns each (4.096 µs — comfortably below the 50 µs RTO floor, so
+//! retransmission timers spread across buckets instead of piling into
+//! one). Insert is a `Vec::push`. A cursor walks the occupancy bitmap;
+//! the current bucket's events sit in a small `active` heap that restores
+//! exact `(time, seq)` order within the bucket. Events beyond the
+//! ~8.4 ms horizon go to an `overflow` heap that is drained bucket-wise
+//! as the cursor reaches them — far-future faults and coarse compute
+//! timers are rare, so the overflow heap stays tiny.
 //!
 //! ## Link rails (serialization coalescing)
 //!
@@ -39,11 +44,13 @@
 //! a tiny index-min-heap over links (dozens of entries, not millions of
 //! events) yields the earliest rail head. The common per-packet cost is
 //! two deque ops and a near-top heap fixup instead of four full-depth
-//! binary-heap sifts. Events that do not fit the invariant (a second
-//! pending departure, an out-of-order delivery — possible only through
-//! the generic [`EventQueue::schedule`] API, never from the simulator)
-//! fall back to the wheel, so the rails are a pure optimization, not a
-//! correctness assumption.
+//! binary-heap sifts.
+//!
+//! Both properties are a contract, not a hint: a second pending
+//! departure on one link, or a delivery earlier than the link's last
+//! one, panics. Host-local sends ([`LinkId::NONE`]) ride one extra
+//! loopback rail; each is scheduled at the current instant under a
+//! rising seq, so they are FIFO by construction.
 //!
 //! ## Reserved sequence numbers
 //!
@@ -67,13 +74,11 @@
 //!
 //! ## Event size
 //!
-//! The wheel's heaps sift whole events, so [`EventKind::Deliver`] boxes
-//! its payload to pin `size_of::<Event>()` at 40 bytes (test-enforced by
-//! `event_size_stays_small`); the queue recycles the boxes through an
-//! internal free list so steady-state delivery costs no allocation. The
-//! rails store the
-//! [`Delivery`] payload inline in their deques — deque pushes don't
-//! sift, so the box round-trip is skipped entirely on that path.
+//! The wheel holds no deliveries: its events carry only a timer, message
+//! or fault, which pins a wheel entry at 40 bytes (test-enforced by
+//! `event_size_stays_small`), so its heap sifts stay cheap. The rails
+//! store the [`Delivery`] payload inline in their deques — deque pushes
+//! don't sift — and hand it to the dispatcher by value.
 //!
 //! ## Capacity release
 //!
@@ -90,7 +95,7 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// A packet in flight: the payload of [`EventKind::Deliver`].
+/// A packet in flight: the payload of [`PoppedKind::Deliver`].
 ///
 /// Besides the packet itself, a delivery remembers which channel carried
 /// it (`via`) and that channel's incarnation (`epoch`) at serialization
@@ -110,12 +115,59 @@ pub struct Delivery {
     pub pkt: Packet,
 }
 
-/// What happens when an event fires.
+/// What a wheel event does when it fires: everything but deliveries and
+/// departures, which ride the rails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WheelKind {
+    Timer { agent: u32, token: u64 },
+    Message { to: u32, from: u32, token: u64 },
+    Fault { index: u32 },
+}
+
+/// A scheduled event, as the wheel stores it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A packet finishes propagation and arrives (boxed to keep
-    /// [`Event`] small; the queue pools and reuses the allocations).
-    Deliver(Box<Delivery>),
+struct Event {
+    /// When the event fires.
+    at: SimTime,
+    /// Insertion sequence number (tie-break).
+    seq: u64,
+    /// The action.
+    kind: WheelKind,
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert to get earliest-first.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A popped event — what [`EventQueue::pop_event`] returns to the
+/// simulator's dispatcher.
+#[derive(Debug)]
+pub struct Popped {
+    /// When the event fired.
+    pub at: SimTime,
+    /// Insertion sequence number.
+    pub seq: u64,
+    /// The action, with any delivery payload inline.
+    pub kind: PoppedKind,
+}
+
+/// What happens when a popped event fires. See [`Popped`].
+#[derive(Debug)]
+pub enum PoppedKind {
+    /// A packet finishes propagation and arrives (payload inline).
+    Deliver(Delivery),
     /// A directed channel finishes serializing its current packet and
     /// starts the next one. The simulator schedules it only when a packet
     /// is queued behind the one on the wire (see the module docs,
@@ -150,83 +202,19 @@ pub enum EventKind {
     },
 }
 
-/// A scheduled event, as the wheel stores it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event {
-    /// When the event fires.
-    at: SimTime,
-    /// Insertion sequence number (tie-break).
-    seq: u64,
-    /// The action.
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to get earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Event {
+    fn popped(self) -> Popped {
+        let kind = match self.kind {
+            WheelKind::Timer { agent, token } => PoppedKind::Timer { agent, token },
+            WheelKind::Message { to, from, token } => PoppedKind::Message { to, from, token },
+            WheelKind::Fault { index } => PoppedKind::Fault { index },
+        };
+        Popped {
+            at: self.at,
+            seq: self.seq,
+            kind,
+        }
     }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A popped event with its delivery payload inline — what
-/// [`EventQueue::pop_event`] returns to the simulator's dispatcher.
-///
-/// The wheel boxes deliveries so its heap sifts stay cheap, but the
-/// *dispatcher* wants the payload by value (it consumes the delivery
-/// immediately). Returning this shape lets the rails hand their inline
-/// payload straight through — no box round-trip on the hottest path —
-/// while wheel events are unboxed once and the box recycled internally.
-#[derive(Debug)]
-pub struct Popped {
-    /// When the event fired.
-    pub at: SimTime,
-    /// Insertion sequence number.
-    pub seq: u64,
-    /// The action, with any delivery payload inline.
-    pub kind: PoppedKind,
-}
-
-/// [`EventKind`] with the `Deliver` payload held by value. See
-/// [`Popped`].
-#[derive(Debug)]
-pub enum PoppedKind {
-    /// A packet arrives (payload inline).
-    Deliver(Delivery),
-    /// A channel's serializer frees up.
-    ChannelIdle {
-        /// The channel that became idle.
-        link: LinkId,
-    },
-    /// An agent timer fires.
-    Timer {
-        /// Owning agent index.
-        agent: u32,
-        /// Opaque discriminator chosen by the agent.
-        token: u64,
-    },
-    /// An agent-to-agent message.
-    Message {
-        /// Receiving agent index.
-        to: u32,
-        /// Sending agent index.
-        from: u32,
-        /// Opaque payload.
-        token: u64,
-    },
-    /// An installed fault fires.
-    Fault {
-        /// Index into the simulator's installed-fault table.
-        index: u32,
-    },
 }
 
 /// log2 of the wheel bucket width in nanoseconds (4.096 µs buckets).
@@ -236,11 +224,6 @@ const WHEEL_SHIFT: u32 = 12;
 const WHEEL_SLOTS: usize = 2048;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-
-/// Links with indices above this never get a rail (guards against
-/// pathological `LinkId`s through the generic API allocating huge
-/// tables; real topologies have at most thousands of channels).
-const MAX_RAIL_LINKS: usize = 1 << 20;
 
 /// Buffers at or below this capacity are kept across drains; bigger
 /// ones are released (see module docs, *Capacity release*).
@@ -393,7 +376,7 @@ struct RailDelivery {
 
 /// One directed channel's pending events: the departure of the packet
 /// being serialized (when one is scheduled), and the FIFO of packets on
-/// the wire.
+/// the wire. The loopback rail holds only host-local deliveries.
 #[derive(Debug, Default)]
 struct Rail {
     departure: Option<(SimTime, u64)>,
@@ -413,21 +396,15 @@ impl Rail {
 /// Sentinel for "not in the rail index heap".
 const ABSENT: u32 = u32::MAX;
 
-/// What a rail pop yields.
-enum RailItem {
-    Departure(LinkId),
-    Delivery(Delivery),
-}
-
 /// An index-min-heap entry: a rail's head `(time, seq)` key, cached,
-/// plus the link it belongs to. Caching the key keeps sift comparisons
-/// inside the heap array instead of chasing into `rails` twice per
-/// comparison.
+/// plus the index of the rail it belongs to. Caching the key keeps sift
+/// comparisons inside the heap array instead of chasing into `rails`
+/// twice per comparison.
 #[derive(Debug, Clone, Copy)]
 struct RailEntry {
     at: SimTime,
     seq: u64,
-    link: u32,
+    rail: u32,
 }
 
 impl RailEntry {
@@ -438,29 +415,34 @@ impl RailEntry {
 }
 
 /// Per-link rails under an index-min-heap keyed by each rail's head
-/// `(time, seq)`. The heap has one entry per *link with pending events*
-/// — topology-sized, not event-population-sized.
+/// `(time, seq)`. The heap has one entry per *rail with pending events*
+/// — topology-sized, not event-population-sized. Rail 0 is the loopback
+/// rail of host-local sends ([`LinkId::NONE`]); link `i` rides rail
+/// `i + 1`.
 #[derive(Debug, Default)]
 struct Rails {
     rails: Vec<Rail>,
     heap: Vec<RailEntry>,
-    /// `pos[link] == ABSENT` when the link has no pending events.
+    /// `pos[rail] == ABSENT` when the rail has no pending events.
     pos: Vec<u32>,
 }
 
 impl Rails {
-    fn ensure(&mut self, li: usize) {
+    /// The index of `link`'s rail, growing the tables to hold it.
+    fn rail_of(&mut self, link: LinkId) -> usize {
+        let li = link.0.wrapping_add(1) as usize;
         if li >= self.rails.len() {
             self.rails.resize_with(li + 1, Rail::default);
             self.pos.resize(li + 1, ABSENT);
         }
+        li
     }
 
     #[inline]
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.pos[self.heap[a].link as usize] = a as u32;
-        self.pos[self.heap[b].link as usize] = b as u32;
+        self.pos[self.heap[a].rail as usize] = a as u32;
+        self.pos[self.heap[b].rail as usize] = b as u32;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -491,7 +473,7 @@ impl Rails {
         }
     }
 
-    /// Re-positions link `li` in the index heap after its head changed,
+    /// Re-positions rail `li` in the index heap after its head changed,
     /// refreshing the cached key.
     fn reindex(&mut self, li: usize) {
         let head = self.rails[li].head_key();
@@ -501,7 +483,7 @@ impl Rails {
                 self.heap.push(RailEntry {
                     at,
                     seq,
-                    link: li as u32,
+                    rail: li as u32,
                 });
                 self.pos[li] = i as u32;
                 self.sift_up(i);
@@ -530,35 +512,37 @@ impl Rails {
         }
     }
 
-    /// Whether the departure slot of `li` is free (rails hold at most
-    /// one pending departure per link).
-    fn departure_slot_free(&self, li: usize) -> bool {
-        self.rails.get(li).is_none_or(|r| r.departure.is_none())
-    }
-
-    /// Whether `(at, seq)` extends link `li`'s delivery FIFO in order.
-    fn delivery_in_order(&self, li: usize, at: SimTime, seq: u64) -> bool {
-        match self.rails.get(li).and_then(|r| r.deliveries.back()) {
-            Some(b) => (b.at, b.seq) < (at, seq),
-            None => true,
-        }
-    }
-
-    fn push_departure(&mut self, li: usize, at: SimTime, seq: u64) {
-        let old = self.rails[li].head_key();
-        debug_assert!(self.rails[li].departure.is_none());
-        self.rails[li].departure = Some((at, seq));
-        if old != self.rails[li].head_key() {
+    /// Takes `link`'s departure slot.
+    ///
+    /// # Panics
+    /// Panics if the link already has a departure pending.
+    fn push_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
+        let li = self.rail_of(link);
+        let rail = &mut self.rails[li];
+        assert!(
+            rail.departure.is_none(),
+            "second pending departure on {link:?}"
+        );
+        let old = rail.head_key();
+        rail.departure = Some((at, seq));
+        if old != rail.head_key() {
             self.reindex(li);
         }
     }
 
-    fn push_delivery(&mut self, li: usize, at: SimTime, seq: u64, d: Delivery) {
-        let old = self.rails[li].head_key();
-        self.rails[li]
-            .deliveries
-            .push_back(RailDelivery { at, seq, d });
-        if old != self.rails[li].head_key() {
+    /// Appends a delivery to its link's FIFO; `seq` must be fresh.
+    ///
+    /// # Panics
+    /// Panics if the delivery arrives before the link's last one.
+    fn push_delivery(&mut self, at: SimTime, seq: u64, d: Delivery) {
+        let li = self.rail_of(d.via);
+        let rail = &mut self.rails[li];
+        if let Some(last) = rail.deliveries.back() {
+            assert!(last.at <= at, "out-of-order delivery on {:?}", d.via);
+        }
+        let old = rail.head_key();
+        rail.deliveries.push_back(RailDelivery { at, seq, d });
+        if old != rail.head_key() {
             self.reindex(li);
         }
     }
@@ -568,8 +552,8 @@ impl Rails {
         self.heap.first().map(RailEntry::key)
     }
 
-    fn pop_min(&mut self) -> Option<(SimTime, u64, RailItem)> {
-        let li = self.heap.first()?.link;
+    fn pop_min(&mut self) -> Option<Popped> {
+        let li = self.heap.first()?.rail;
         let liu = li as usize;
         let rail = &mut self.rails[liu];
         let take_departure = match (rail.departure, rail.deliveries.front()) {
@@ -580,10 +564,17 @@ impl Rails {
         };
         let out = if take_departure {
             let (at, seq) = rail.departure.take().expect("checked");
-            (at, seq, RailItem::Departure(LinkId(li)))
+            let link = LinkId(li.wrapping_sub(1));
+            let kind = PoppedKind::ChannelIdle { link };
+            Popped { at, seq, kind }
         } else {
             let r = rail.deliveries.pop_front().expect("checked");
-            (r.at, r.seq, RailItem::Delivery(r.d))
+            let kind = PoppedKind::Deliver(r.d);
+            Popped {
+                at: r.at,
+                seq: r.seq,
+                kind,
+            }
         };
         self.reindex(liu);
         Some(out)
@@ -617,10 +608,6 @@ pub struct EventQueue {
     len: usize,
     wheel: Wheel,
     rails: Rails,
-    /// Recycled `Deliver` boxes; bounded by the peak number of in-flight
-    /// boxed deliveries.
-    #[allow(clippy::vec_box)]
-    pool: Vec<Box<Delivery>>,
 }
 
 impl Default for EventQueue {
@@ -637,50 +624,6 @@ impl EventQueue {
             len: 0,
             wheel: Wheel::new(),
             rails: Rails::default(),
-            pool: Vec::new(),
-        }
-    }
-
-    fn bump(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn railable(link: LinkId) -> bool {
-        link != LinkId::NONE && link.index() < MAX_RAIL_LINKS
-    }
-
-    /// Wraps a delivery in a pooled box (allocating only when the pool
-    /// is dry).
-    fn boxed(&mut self, d: Delivery) -> Box<Delivery> {
-        match self.pool.pop() {
-            Some(mut b) => {
-                *b = d;
-                b
-            }
-            None => Box::new(d),
-        }
-    }
-
-    /// Converts a wheel [`Event`] into a [`Popped`], returning any
-    /// delivery box to the pool.
-    fn unbox(&mut self, e: Event) -> Popped {
-        let kind = match e.kind {
-            EventKind::Deliver(b) => {
-                let d = *b;
-                self.pool.push(b);
-                PoppedKind::Deliver(d)
-            }
-            EventKind::ChannelIdle { link } => PoppedKind::ChannelIdle { link },
-            EventKind::Timer { agent, token } => PoppedKind::Timer { agent, token },
-            EventKind::Message { to, from, token } => PoppedKind::Message { to, from, token },
-            EventKind::Fault { index } => PoppedKind::Fault { index },
-        };
-        Popped {
-            at: e.at,
-            seq: e.seq,
-            kind,
         }
     }
 
@@ -689,17 +632,20 @@ impl EventQueue {
     /// [`EventQueue::schedule_timer_reserved`] can insert an event that
     /// sorts exactly where it would have had it been scheduled now.
     pub fn reserve_seq(&mut self) -> u64 {
-        self.bump()
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
-    /// Schedules `ChannelIdle { link }` at `(at, seq)`, where `seq` came
-    /// from [`EventQueue::reserve_seq`] and has not been used since. The
-    /// departure takes the link's rail slot when it is free and falls
-    /// back to the wheel otherwise, as [`EventQueue::schedule`] does.
-    pub fn schedule_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
-        debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
+    fn push_wheel(&mut self, at: SimTime, seq: u64, kind: WheelKind) {
         self.len += 1;
-        self.insert_departure(at, seq, link);
+        self.wheel.push(Event { at, seq, kind });
+    }
+
+    /// Schedules `Timer { agent, token }` at `at`.
+    pub fn schedule_timer(&mut self, at: SimTime, agent: u32, token: u64) {
+        let seq = self.reserve_seq();
+        self.push_wheel(at, seq, WheelKind::Timer { agent, token });
     }
 
     /// Schedules `Timer { agent, token }` at `(at, seq)`, where `seq` came
@@ -708,49 +654,38 @@ impl EventQueue {
     /// this way (see the module docs, *Reserved sequence numbers*).
     pub fn schedule_timer_reserved(&mut self, at: SimTime, seq: u64, agent: u32, token: u64) {
         debug_assert!(seq < self.next_seq, "timer under an unreserved seq");
+        self.push_wheel(at, seq, WheelKind::Timer { agent, token });
+    }
+
+    /// Schedules `Message { to, from, token }` at `at`.
+    pub fn schedule_message(&mut self, at: SimTime, to: u32, from: u32, token: u64) {
+        let seq = self.reserve_seq();
+        self.push_wheel(at, seq, WheelKind::Message { to, from, token });
+    }
+
+    /// Schedules `Fault { index }` at `at`.
+    pub fn schedule_fault(&mut self, at: SimTime, index: u32) {
+        let seq = self.reserve_seq();
+        self.push_wheel(at, seq, WheelKind::Fault { index });
+    }
+
+    /// Schedules `ChannelIdle { link }` at `(at, seq)`, where `seq` came
+    /// from [`EventQueue::reserve_seq`] and has not been used since.
+    ///
+    /// # Panics
+    /// Panics if `link` already has a departure pending.
+    pub fn schedule_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
+        debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
         self.len += 1;
-        let kind = EventKind::Timer { agent, token };
-        self.wheel.push(Event { at, seq, kind });
+        self.rails.push_departure(at, seq, link);
     }
 
-    fn insert_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
-        let li = link.index();
-        if Self::railable(link) {
-            self.rails.ensure(li);
-            if self.rails.departure_slot_free(li) {
-                self.rails.push_departure(li, at, seq);
-                return;
-            }
-        }
-        let kind = EventKind::ChannelIdle { link };
-        self.wheel.push(Event { at, seq, kind });
-    }
-
-    /// Schedules `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.bump();
-        self.len += 1;
-        match kind {
-            EventKind::ChannelIdle { link } => self.insert_departure(at, seq, link),
-            EventKind::Deliver(b) if Self::railable(b.via) => {
-                let li = b.via.index();
-                self.rails.ensure(li);
-                if self.rails.delivery_in_order(li, at, seq) {
-                    let d = *b;
-                    self.pool.push(b);
-                    self.rails.push_delivery(li, at, seq, d);
-                } else {
-                    let kind = EventKind::Deliver(b);
-                    self.wheel.push(Event { at, seq, kind });
-                }
-            }
-            kind => self.wheel.push(Event { at, seq, kind }),
-        }
-    }
-
-    /// Schedules a packet delivery — the per-packet hot path. An
-    /// in-order link delivery rides the rail with its payload inline,
-    /// skipping the box entirely.
+    /// Schedules a packet delivery — the per-packet hot path. The
+    /// delivery rides its link's rail with the payload inline; host-local
+    /// sends ride the loopback rail.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the last delivery pending on `via`.
     pub fn schedule_delivery(
         &mut self,
         at: SimTime,
@@ -759,7 +694,7 @@ impl EventQueue {
         epoch: u32,
         pkt: Packet,
     ) {
-        let seq = self.bump();
+        let seq = self.reserve_seq();
         self.len += 1;
         let d = Delivery {
             node,
@@ -767,20 +702,11 @@ impl EventQueue {
             epoch,
             pkt,
         };
-        if Self::railable(via) {
-            let li = via.index();
-            self.rails.ensure(li);
-            if self.rails.delivery_in_order(li, at, seq) {
-                self.rails.push_delivery(li, at, seq, d);
-                return;
-            }
-        }
-        let kind = EventKind::Deliver(self.boxed(d));
-        self.wheel.push(Event { at, seq, kind });
+        self.rails.push_delivery(at, seq, d);
     }
 
-    /// Removes and returns the earliest event with its payload inline —
-    /// the dispatcher's pop (see [`Popped`]).
+    /// Removes and returns the earliest event — the dispatcher's pop (see
+    /// [`Popped`]).
     pub fn pop_event(&mut self) -> Option<Popped> {
         self.pop_event_before(SimTime::MAX)
     }
@@ -807,15 +733,9 @@ impl EventQueue {
             return None;
         }
         let p = if take_rail {
-            let (at, seq, item) = self.rails.pop_min().expect("rail head exists");
-            let kind = match item {
-                RailItem::Departure(link) => PoppedKind::ChannelIdle { link },
-                RailItem::Delivery(d) => PoppedKind::Deliver(d),
-            };
-            Popped { at, seq, kind }
+            self.rails.pop_min().expect("rail head exists")
         } else {
-            let e = self.wheel.pop().expect("wheel head exists");
-            self.unbox(e)
+            self.wheel.pop().expect("wheel head exists").popped()
         };
         self.len -= 1;
         if self.len == 0 {
@@ -841,7 +761,7 @@ impl EventQueue {
     /// 2048 buckets × 64 slots × 40 bytes ≈ 5 MiB of bucket storage can
     /// be held without showing here.
     pub fn capacity(&self) -> usize {
-        self.wheel.capacity() + self.rails.capacity() + self.pool.len()
+        self.wheel.capacity() + self.rails.capacity()
     }
 
     /// Releases oversized internal buffers (see module docs). Called
@@ -849,10 +769,6 @@ impl EventQueue {
     pub fn shrink_to_fit(&mut self) {
         self.wheel.release();
         self.rails.release();
-        if self.pool.len() > KEEP_CAPACITY {
-            self.pool.truncate(KEEP_CAPACITY);
-            self.pool.shrink_to_fit();
-        }
     }
 
     fn maybe_release(&mut self) {
@@ -865,10 +781,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn timer(agent: u32, token: u64) -> EventKind {
-        EventKind::Timer { agent, token }
-    }
 
     /// Drains `q`, returning each event's token (timers only).
     fn tokens(q: &mut EventQueue) -> Vec<u64> {
@@ -895,10 +807,10 @@ mod tests {
     #[test]
     fn pop_event_before_respects_deadline() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime(10), timer(0, 1));
-        q.schedule(SimTime(20), timer(0, 2));
-        q.schedule(SimTime(20), timer(0, 3));
-        q.schedule(SimTime(30), timer(0, 4));
+        q.schedule_timer(SimTime(10), 0, 1);
+        q.schedule_timer(SimTime(20), 0, 2);
+        q.schedule_timer(SimTime(20), 0, 3);
+        q.schedule_timer(SimTime(30), 0, 4);
         assert!(q.pop_event_before(SimTime(5)).is_none());
         assert_eq!(q.pop_event_before(SimTime(20)).unwrap().at, SimTime(10));
         // Deadline is inclusive, ties still pop in insertion order.
@@ -914,9 +826,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime(30), timer(0, 3));
-        q.schedule(SimTime(10), timer(0, 1));
-        q.schedule(SimTime(20), timer(0, 2));
+        q.schedule_timer(SimTime(30), 0, 3);
+        q.schedule_timer(SimTime(10), 0, 1);
+        q.schedule_timer(SimTime(20), 0, 2);
         assert_eq!(tokens(&mut q), vec![1, 2, 3]);
     }
 
@@ -924,7 +836,7 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         for token in 0..100 {
-            q.schedule(SimTime(5), timer(0, token));
+            q.schedule_timer(SimTime(5), 0, token);
         }
         assert_eq!(tokens(&mut q), (0..100).collect::<Vec<_>>());
     }
@@ -945,7 +857,7 @@ mod tests {
             3_000_000_000, // seconds out
         ];
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime(t), timer(0, i as u64));
+            q.schedule_timer(SimTime(t), 0, i as u64);
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop_event())
             .map(|e| e.at.0)
@@ -959,7 +871,7 @@ mod tests {
     fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule(SimTime(1), timer(0, 0));
+        q.schedule_timer(SimTime(1), 0, 0);
         assert_eq!(q.len(), 1);
         q.pop_event();
         assert!(q.is_empty());
@@ -969,7 +881,7 @@ mod tests {
     fn drain_releases_capacity() {
         let mut q = EventQueue::new();
         for i in 0..100_000u64 {
-            q.schedule(SimTime(i * 13 % 50_000), timer(0, i));
+            q.schedule_timer(SimTime(i * 13 % 50_000), 0, i);
         }
         assert!(q.capacity() >= 50_000, "queue should have grown");
         while q.pop_event().is_some() {}
@@ -978,6 +890,28 @@ mod tests {
             "retained {} slots after drain",
             q.capacity()
         );
+    }
+
+    fn pkt() -> Packet {
+        use crate::packet::FlowId;
+        Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100)
+    }
+
+    #[test]
+    #[should_panic(expected = "second pending departure")]
+    fn second_pending_departure_on_a_link_panics() {
+        let mut q = EventQueue::new();
+        let (a, b) = (q.reserve_seq(), q.reserve_seq());
+        q.schedule_departure(SimTime(20), a, LinkId(3));
+        q.schedule_departure(SimTime(10), b, LinkId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order delivery")]
+    fn out_of_order_delivery_on_a_link_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_delivery(SimTime(20), NodeId(1), LinkId(2), 0, pkt());
+        q.schedule_delivery(SimTime(10), NodeId(1), LinkId(2), 0, pkt());
     }
 
     mod props {
@@ -991,7 +925,7 @@ mod tests {
             fn total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
                 let mut q = EventQueue::new();
                 for (i, &t) in times.iter().enumerate() {
-                    q.schedule(SimTime(t), timer(0, i as u64));
+                    q.schedule_timer(SimTime(t), 0, i as u64);
                 }
                 let mut prev: Option<(SimTime, u64)> = None;
                 while let Some(e) = q.pop_event() {

@@ -89,7 +89,8 @@ pub enum LinkQueue {
 }
 
 impl LinkQueue {
-    /// Offers a packet to the discipline (see [`Queue::enqueue`]).
+    /// Offers a packet; the queue may mark it, queue it, drop it, or
+    /// evict another packet to admit it.
     #[inline]
     pub fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome {
         match self {
@@ -146,26 +147,6 @@ impl LinkQueue {
     }
 }
 
-// Custom disciplines can still be used through the trait; the built-in
-// pair goes through the enum's inherent methods.
-impl Queue for LinkQueue {
-    fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome {
-        LinkQueue::enqueue(self, pkt)
-    }
-
-    fn dequeue(&mut self) -> Option<Packet> {
-        LinkQueue::dequeue(self)
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        LinkQueue::backlog_bytes(self)
-    }
-
-    fn backlog_packets(&self) -> usize {
-        LinkQueue::backlog_packets(self)
-    }
-}
-
 /// Result of offering a packet to a queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnqueueOutcome {
@@ -179,27 +160,6 @@ pub enum EnqueueOutcome {
     /// The offered packet was accepted and a lower-urgency victim was
     /// evicted to make room (pFabric behaviour).
     Evicted(Packet),
-}
-
-/// An egress queue discipline.
-pub trait Queue: std::fmt::Debug + Send {
-    /// Offers a packet; the queue may mark it, queue it, drop it, or evict
-    /// another packet to admit it.
-    fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome;
-
-    /// Removes the next packet to transmit.
-    fn dequeue(&mut self) -> Option<Packet>;
-
-    /// Current backlog in bytes.
-    fn backlog_bytes(&self) -> u64;
-
-    /// Current backlog in packets.
-    fn backlog_packets(&self) -> usize;
-
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.backlog_packets() == 0
-    }
 }
 
 /// FIFO with optional ECN marking threshold.
@@ -222,10 +182,9 @@ impl FifoQueue {
             bytes: 0,
         }
     }
-}
 
-impl Queue for FifoQueue {
-    fn enqueue(&mut self, mut pkt: Packet) -> EnqueueOutcome {
+    /// Offers a packet (see [`LinkQueue::enqueue`]).
+    pub fn enqueue(&mut self, mut pkt: Packet) -> EnqueueOutcome {
         let size = u64::from(pkt.wire_bytes);
         if self.bytes + size > self.cap_bytes {
             return EnqueueOutcome::DroppedArrival(pkt);
@@ -248,17 +207,20 @@ impl Queue for FifoQueue {
         }
     }
 
-    fn dequeue(&mut self) -> Option<Packet> {
+    /// Removes the next packet to transmit.
+    pub fn dequeue(&mut self) -> Option<Packet> {
         let pkt = self.queue.pop_front()?;
         self.bytes -= u64::from(pkt.wire_bytes);
         Some(pkt)
     }
 
-    fn backlog_bytes(&self) -> u64 {
+    /// Current backlog in bytes.
+    pub fn backlog_bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn backlog_packets(&self) -> usize {
+    /// Current backlog in packets.
+    pub fn backlog_packets(&self) -> usize {
         self.queue.len()
     }
 }
@@ -285,10 +247,9 @@ impl PriorityQueue {
             next_seq: 0,
         }
     }
-}
 
-impl Queue for PriorityQueue {
-    fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome {
+    /// Offers a packet (see [`LinkQueue::enqueue`]).
+    pub fn enqueue(&mut self, pkt: Packet) -> EnqueueOutcome {
         let size = u64::from(pkt.wire_bytes);
         if self.bytes + size <= self.cap_bytes {
             let key = (pkt.priority, self.next_seq);
@@ -324,7 +285,8 @@ impl Queue for PriorityQueue {
         }
     }
 
-    fn dequeue(&mut self) -> Option<Packet> {
+    /// Removes the next packet to transmit.
+    pub fn dequeue(&mut self) -> Option<Packet> {
         // pFabric dequeue: find the most urgent packet, then serve the
         // *earliest-arrived* packet of that packet's flow — this keeps
         // packets of a single flow in order even though later packets
@@ -344,11 +306,13 @@ impl Queue for PriorityQueue {
         Some(pkt)
     }
 
-    fn backlog_bytes(&self) -> u64 {
+    /// Current backlog in bytes.
+    pub fn backlog_bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn backlog_packets(&self) -> usize {
+    /// Current backlog in packets.
+    pub fn backlog_packets(&self) -> usize {
         self.queue.len()
     }
 }
@@ -402,7 +366,7 @@ mod tests {
         for i in 0..5 {
             assert_eq!(q.dequeue().unwrap().flow, FlowId(i));
         }
-        assert!(q.is_empty());
+        assert_eq!(q.backlog_packets(), 0);
     }
 
     #[test]

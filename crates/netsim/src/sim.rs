@@ -20,7 +20,7 @@
 //!   flow.
 //! * All ties are broken deterministically (see [`crate::event`]).
 
-use crate::event::{EventKind, EventQueue, Popped, PoppedKind};
+use crate::event::{EventQueue, Popped, PoppedKind};
 use crate::fault::{FaultAction, FaultPlan, LossModel, LossState};
 use crate::link::LinkId;
 use crate::node::{NodeId, NodeKind};
@@ -151,7 +151,7 @@ struct SimCore {
     /// `(seed, link_index)`), so one link's drop pattern is independent
     /// of the global event interleaving and of traffic elsewhere.
     link_rngs: Vec<SimRng>,
-    /// Installed fault actions, indexed by `EventKind::Fault::index`.
+    /// Installed fault actions, indexed by `PoppedKind::Fault::index`.
     faults: Vec<FaultAction>,
     /// Per-node flow dispatch table, indexed by `NodeId::index()`:
     /// which agent receives packets of a given flow at this host.
@@ -184,14 +184,17 @@ impl SimCore {
         // Cut-through: when the queue is empty and the channel is idle
         // and up, enqueue-then-immediately-dequeue is the identity (no
         // drop, eviction, or ECN mark is possible against a zero
-        // backlog), so the packet goes straight to the serializer. Gated
-        // off whenever a telemetry sink is installed so QueueDepth
-        // events keep their exact pre-existing cadence.
-        if self.sink.is_none()
-            && !busy
-            && self.topo.channels[li].up
-            && self.queues[li].passes_through(pkt.wire_bytes)
-        {
+        // backlog), so the packet goes straight to the serializer. A sink
+        // gets the one-packet queue sample the enqueue would have given.
+        if !busy && self.topo.channels[li].up && self.queues[li].passes_through(pkt.wire_bytes) {
+            if let Some(sink) = self.sink.as_mut() {
+                sink.record(&TelemetryEvent::QueueDepth {
+                    t_ns: self.now.as_nanos(),
+                    link: li as u32,
+                    bytes: u64::from(pkt.wire_bytes),
+                    packets: 1,
+                });
+            }
             self.transmit(link, pkt);
             return;
         }
@@ -488,13 +491,7 @@ impl AgentCtx<'_> {
     pub fn set_timer(&mut self, after: SimDuration, token: u64) {
         debug_assert_ne!(token, SLOT_TOKEN, "set_timer with the slot's token");
         let at = self.core.now.saturating_add(after);
-        self.core.events.schedule(
-            at,
-            EventKind::Timer {
-                agent: self.id.0 as u32,
-                token,
-            },
-        );
+        self.core.events.schedule_timer(at, self.id.0 as u32, token);
     }
 
     /// Arms this agent's timer slot to fire `after` from now, replacing
@@ -529,14 +526,9 @@ impl AgentCtx<'_> {
     /// current instant, after this handler returns).
     pub fn send_message(&mut self, to: AgentId, token: u64) {
         let at = self.core.now;
-        self.core.events.schedule(
-            at,
-            EventKind::Message {
-                to: to.0 as u32,
-                from: self.id.0 as u32,
-                token,
-            },
-        );
+        self.core
+            .events
+            .schedule_message(at, to.0 as u32, self.id.0 as u32, token);
     }
 
     /// The deterministic random source.
@@ -668,7 +660,7 @@ impl Simulator {
         for f in &plan.faults {
             let index = self.core.faults.len() as u32;
             self.core.faults.push(f.action);
-            self.core.events.schedule(f.at, EventKind::Fault { index });
+            self.core.events.schedule_fault(f.at, index);
         }
     }
 
@@ -1523,6 +1515,56 @@ mod tests {
         sim.run();
         assert_eq!(sim.stats().dropped, 3);
         assert_eq!(sim.agent::<Pinger>(pinger).echoes, 0);
+    }
+
+    #[test]
+    fn host_local_sends_arrive_after_the_handler_and_survive_link_down() {
+        /// Sends three packets to its own host from a timer handler and
+        /// logs the handler's end and each arrival.
+        struct SelfSender {
+            flow: FlowId,
+            log: Vec<(String, SimTime)>,
+        }
+        impl Agent for SelfSender {
+            fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+                ctx.set_timer(SimDuration::micros(100), 1);
+            }
+            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
+                let SegmentHeader::Data { seq, .. } = pkt.header else {
+                    panic!("expected data");
+                };
+                self.log.push((format!("pkt {seq}"), ctx.now()));
+            }
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+                let me = ctx.node();
+                for i in 0..3u64 {
+                    ctx.send(Packet::data(self.flow, me, me, i * 1500, 1500));
+                }
+                self.log.push(("handler done".into(), ctx.now()));
+            }
+        }
+        let (mut sim, h0, _h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
+        let flow = FlowId(1);
+        let a = sim.add_agent(h0, SelfSender { flow, log: vec![] });
+        sim.bind_flow(flow, a);
+        // Queue the timer first, so both of the host's channels go down
+        // after the sends and before their deliveries pop.
+        let t = SimTime(100_000);
+        sim.run_until(SimTime(99_000));
+        let plan = FaultPlan::new()
+            .link_flap(LinkId(0), t, SimDuration::millis(1))
+            .link_flap(LinkId(1), t, SimDuration::millis(1));
+        sim.install_faults(&plan);
+        sim.run();
+        let log = &sim.agent::<SelfSender>(a).log;
+        let expected = ["handler done", "pkt 0", "pkt 1500", "pkt 3000"];
+        assert_eq!(
+            log.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
+            expected
+        );
+        assert!(log.iter().all(|&(_, at)| at == t), "{log:?}");
+        assert_eq!(sim.stats().delivered, 3);
+        assert_eq!(sim.stats().dropped, 0);
     }
 
     struct TimerAgent {

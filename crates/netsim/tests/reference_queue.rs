@@ -4,18 +4,22 @@
 //! under any interleaving of schedules, seq reservations, departures and
 //! timers inserted later under a reserved seq, and pops, both must pop
 //! the same `(time, seq, kind)` stream.
+//!
+//! The interleavings stay within the queue's contract, as the simulator
+//! does: each link's deliveries (the loopback rail's included) are
+//! scheduled at non-decreasing times, and a link has at most one
+//! departure pending.
 
-use mltcp_netsim::event::{Delivery, EventKind, EventQueue, Popped};
+use mltcp_netsim::event::{Delivery, EventQueue, Popped, PoppedKind};
 use mltcp_netsim::link::LinkId;
 use mltcp_netsim::node::NodeId;
 use mltcp_netsim::packet::{FlowId, Packet};
 use mltcp_netsim::time::SimTime;
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// A popped event: time, sequence number and the action's debug form
-/// (a boxed and an inline delivery print alike).
+/// A popped event: time, sequence number and the action's debug form.
 type Record = (u64, u64, String);
 
 /// The reference model. The kind is stored as its debug form; `(time,
@@ -39,11 +43,11 @@ impl ReferenceQueue {
         self.next_seq - 1
     }
 
-    fn insert(&mut self, at: SimTime, seq: u64, kind: &EventKind) {
+    fn insert(&mut self, at: SimTime, seq: u64, kind: &PoppedKind) {
         self.heap.push(Reverse((at, seq, format!("{kind:?}"))));
     }
 
-    fn schedule(&mut self, at: SimTime, kind: &EventKind) {
+    fn schedule(&mut self, at: SimTime, kind: &PoppedKind) {
         let seq = self.reserve();
         self.insert(at, seq, kind);
     }
@@ -74,24 +78,28 @@ enum Reserved {
 
 /// One step of a schedule/pop interleaving.
 enum Op {
-    Schedule(SimTime, EventKind),
-    /// Through `schedule_delivery`, the simulator's per-packet path.
-    Deliver(SimTime, Delivery),
+    /// A timer, message, fault or delivery under a fresh seq, through
+    /// its typed entry point.
+    Schedule(SimTime, PoppedKind),
     /// Reserves a seq for an event at the given time.
     Reserve(SimTime, Reserved),
     /// Inserts the event of the `n`-th oldest open reservation (modulo
-    /// their count) under its reserved seq; a no-op with none open.
+    /// their count) under its reserved seq; a no-op with none open, and
+    /// for a departure while its link already has one pending.
     Insert(usize),
     PopBefore(SimTime),
 }
 
 /// Applies `ops` to a fresh queue and to the reference model, drains
-/// both, and returns their pop streams as `(queue, reference)`.
+/// both, and returns their pop streams as `(queue, reference)`. A
+/// delivery earlier than its link's last one is moved up to it.
 fn run_both(ops: impl IntoIterator<Item = Op>) -> (Vec<Record>, Vec<Record>) {
     let mut q = EventQueue::new();
     let mut r = ReferenceQueue::new();
     let (mut got, mut want) = (Vec::new(), Vec::new());
     let mut open: Vec<(SimTime, u64, Reserved)> = Vec::new();
+    let mut last_delivery: HashMap<LinkId, SimTime> = HashMap::new();
+    let mut departing: HashSet<LinkId> = HashSet::new();
     for op in ops {
         match op {
             Op::Reserve(at, what) => {
@@ -99,32 +107,56 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> (Vec<Record>, Vec<Record>) {
                 assert_eq!(seq, r.reserve(), "reserved seqs diverged");
                 open.push((at, seq, what));
             }
-            Op::Insert(n) => {
-                if !open.is_empty() {
-                    let (at, seq, what) = open.remove(n % open.len());
-                    match what {
-                        Reserved::Departure(link) => {
-                            r.insert(at, seq, &EventKind::ChannelIdle { link });
-                            q.schedule_departure(at, seq, link);
-                        }
-                        Reserved::Timer(agent) => {
-                            let token = seq;
-                            r.insert(at, seq, &EventKind::Timer { agent, token });
-                            q.schedule_timer_reserved(at, seq, agent, token);
-                        }
+            Op::Insert(n) if !open.is_empty() => {
+                let i = n % open.len();
+                match open[i] {
+                    (_, _, Reserved::Departure(link)) if departing.contains(&link) => {}
+                    (at, seq, Reserved::Departure(link)) => {
+                        open.remove(i);
+                        departing.insert(link);
+                        r.insert(at, seq, &PoppedKind::ChannelIdle { link });
+                        q.schedule_departure(at, seq, link);
+                    }
+                    (at, seq, Reserved::Timer(agent)) => {
+                        open.remove(i);
+                        let token = seq;
+                        r.insert(at, seq, &PoppedKind::Timer { agent, token });
+                        q.schedule_timer_reserved(at, seq, agent, token);
                     }
                 }
             }
+            Op::Insert(_) => {}
             Op::Schedule(at, kind) => {
+                let at = match &kind {
+                    PoppedKind::Deliver(d) => {
+                        let last = last_delivery.entry(d.via).or_insert(at);
+                        *last = (*last).max(at);
+                        *last
+                    }
+                    _ => at,
+                };
                 r.schedule(at, &kind);
-                q.schedule(at, kind);
-            }
-            Op::Deliver(at, d) => {
-                r.schedule(at, &EventKind::Deliver(Box::new(d)));
-                q.schedule_delivery(at, d.node, d.via, d.epoch, d.pkt);
+                match kind {
+                    PoppedKind::Timer { agent, token } => q.schedule_timer(at, agent, token),
+                    PoppedKind::Message { to, from, token } => {
+                        q.schedule_message(at, to, from, token)
+                    }
+                    PoppedKind::Fault { index } => q.schedule_fault(at, index),
+                    PoppedKind::Deliver(d) => {
+                        q.schedule_delivery(at, d.node, d.via, d.epoch, d.pkt)
+                    }
+                    PoppedKind::ChannelIdle { .. } => {
+                        unreachable!("departures go under a reserved seq")
+                    }
+                }
             }
             Op::PopBefore(deadline) => {
-                got.extend(q.pop_event_before(deadline).map(record));
+                if let Some(p) = q.pop_event_before(deadline) {
+                    if let PoppedKind::ChannelIdle { link } = p.kind {
+                        departing.remove(&link);
+                    }
+                    got.push(record(p));
+                }
                 want.extend(r.pop_before(deadline));
             }
         }
@@ -135,20 +167,19 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> (Vec<Record>, Vec<Record>) {
     (got, want)
 }
 
-fn delivery(via: LinkId, seq: u64) -> Delivery {
-    Delivery {
+fn delivery(via: LinkId, seq: u64) -> PoppedKind {
+    PoppedKind::Deliver(Delivery {
         node: NodeId(1),
         via,
         epoch: 0,
         pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), seq, 100),
-    }
+    })
 }
 
-/// A fixed but irregular mix of link traffic (in-order and deliberately
-/// out-of-order deliveries, paired and duplicate departures, departures
+/// A fixed but irregular mix of link traffic (deliveries, departures
 /// inserted later under a reserved seq, host-local sends), near and far
-/// timers, some of them inserted later under a reserved seq, and pops
-/// with and without a deadline.
+/// timers, some of them inserted later under a reserved seq, messages,
+/// faults, and pops with and without a deadline.
 #[test]
 fn wheel_pops_like_the_reference_on_mixed_traffic() {
     let mut t = 0u64;
@@ -162,54 +193,56 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
         let at = SimTime(t - t % 3); // force some equal stamps
         let link = LinkId((r % 4) as u32);
         match op % 8 {
-            0 if op & 16 == 0 => Op::Schedule(at, EventKind::ChannelIdle { link }),
+            0 if op & 16 == 0 && op & 32 == 0 => Op::Schedule(
+                at,
+                PoppedKind::Message {
+                    to: 0,
+                    from: 1,
+                    token: i,
+                },
+            ),
+            0 if op & 16 == 0 => Op::Schedule(at, PoppedKind::Fault { index: i as u32 }),
             // A reservation sorts among the events scheduled around it,
             // whenever its departure is inserted.
             0 => Op::Reserve(SimTime(t + r % 20_000), Reserved::Departure(link)),
             1 if op & 16 == 0 => Op::Insert((r >> 20) as usize),
             1 => Op::Reserve(at, Reserved::Departure(link)),
             2..=4 => {
-                // Arrivals earlier than the rail tail exercise the wheel
-                // fallback; `LinkId::NONE` is a host-local send.
-                let at = if (r >> 8) % 8 == 0 {
-                    SimTime(t / 2)
-                } else {
-                    at
-                };
+                // `LinkId::NONE` is a host-local send.
                 let via = if (r >> 12) % 8 == 0 {
                     LinkId::NONE
                 } else {
                     link
                 };
-                let d = delivery(via, i * 100);
-                if op & 8 == 0 {
-                    Op::Deliver(at, d)
-                } else {
-                    Op::Schedule(at, EventKind::Deliver(Box::new(d)))
-                }
+                Op::Schedule(SimTime(t + (r >> 8) % 3_000), delivery(via, i * 100))
             }
             5 if op & 16 == 0 => Op::Schedule(
                 SimTime(t + 50_000_000), // overflow range
-                EventKind::Timer { agent: 0, token: i },
+                PoppedKind::Timer { agent: 0, token: i },
             ),
             // Timer reservations, some past the wheel horizon, inserted
             // by a later `Insert`.
             5 => Op::Reserve(SimTime(t + r % 20_000_000), Reserved::Timer(1)),
-            6 if op & 16 == 0 => Op::Schedule(at, EventKind::Timer { agent: 0, token: i }),
+            6 if op & 16 == 0 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
             6 => Op::Reserve(at, Reserved::Timer(1)),
             _ => Op::PopBefore(if op & 8 == 0 { SimTime::MAX } else { at }),
         }
     });
-    // Two departures of one link inserted back to back: the later-
-    // reserved, earlier one finds the rail slot taken and must pop from
-    // the wheel fallback before the one on the rail.
-    let collide = [
-        Op::Reserve(SimTime(9_000), Reserved::Departure(LinkId(0))),
-        Op::Reserve(SimTime(8_000), Reserved::Departure(LinkId(0))),
-        Op::Insert(0),
-        Op::Insert(0),
-    ];
-    let (got, want) = run_both(collide.into_iter().chain(ops));
+    let (got, want) = run_both(ops);
+    let loopback = format!("{:?}", LinkId::NONE);
+    for kind in [
+        "ChannelIdle",
+        "Deliver",
+        &loopback,
+        "Timer",
+        "Message",
+        "Fault",
+    ] {
+        assert!(
+            got.iter().any(|(_, _, k)| k.contains(kind)),
+            "the mix never popped {kind}"
+        );
+    }
     assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "divergence at pop {i}");
@@ -227,11 +260,11 @@ proptest! {
             let i = i as u64;
             let link = LinkId(u32::from(op % 3));
             match op {
-                0..=2 => Op::Schedule(at, EventKind::Timer { agent: 0, token: i }),
-                3 | 4 => Op::Schedule(at, EventKind::ChannelIdle { link }),
-                5 => Op::Schedule(at, EventKind::Deliver(Box::new(delivery(link, 0)))),
-                6 => Op::Deliver(at, delivery(link, 0)),
-                7 => Op::Schedule(at, EventKind::Message { to: 0, from: 1, token: i }),
+                0..=2 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
+                3 => Op::Schedule(at, PoppedKind::Fault { index: i as u32 }),
+                4 => Op::Schedule(at, delivery(LinkId::NONE, i)),
+                5 | 6 => Op::Schedule(at, delivery(link, i)),
+                7 => Op::Schedule(at, PoppedKind::Message { to: 0, from: 1, token: i }),
                 8 => Op::PopBefore(at),
                 9 => Op::Reserve(at, Reserved::Departure(LinkId((t % 3) as u32))),
                 10 => Op::Insert(t as usize),
