@@ -8,9 +8,11 @@
 //! The engine is a timing wheel plus per-link *rails*. The wheel gives
 //! `O(1)` inserts for timers, messages and faults; the rails exploit link
 //! serialization order so per-packet events never touch a heap at all
-//! (see below). The global pop takes the `(time, seq)`-minimum across
-//! the two. `tests/reference_queue.rs` pins the pop order against a
-//! plain `BinaryHeap` reference model.
+//! (see below). Both order events by one packed `u128` key, `time << 64 |
+//! seq`, whose integer order is the `(time, seq)` order; the global pop
+//! takes the smaller key of the two sources' heads.
+//! `tests/reference_queue.rs` pins the pop order against a plain
+//! `BinaryHeap` reference model.
 //!
 //! Each event kind has one typed entry point: [`EventQueue::schedule_timer`],
 //! [`EventQueue::schedule_message`] and [`EventQueue::schedule_fault`] go
@@ -40,17 +42,38 @@
 //! arrival is `done + delay` where `done` is non-decreasing and `delay`
 //! is a link constant — true under brownouts (which only stretch `done`)
 //! and under link flaps (which drop, never reorder). Each link therefore
-//! keeps a one-slot departure and a `VecDeque` of in-flight deliveries;
-//! a tiny index-min-heap over links (dozens of entries, not millions of
-//! events) yields the earliest rail head. The common per-packet cost is
-//! two deque ops and a near-top heap fixup instead of four full-depth
-//! binary-heap sifts.
+//! keeps a one-slot departure and a `VecDeque` of in-flight deliveries,
+//! and its earliest pending event, its *head*, is the smaller of the two
+//! fronts. The common per-packet cost is two deque ops and one short
+//! index scan (below) instead of four full-depth binary-heap sifts.
 //!
 //! Both properties are a contract, not a hint: a second pending
 //! departure on one link, or a delivery earlier than the link's last
 //! one, panics. Host-local sends ([`LinkId::NONE`]) ride one extra
 //! loopback rail; each is scheduled at the current instant under a
 //! rising seq, so they are FIFO by construction.
+//!
+//! ## The rail index
+//!
+//! The earliest head comes from one `Vec` of `(key, rail)` pairs, one per
+//! rail with pending events, sorted by descending key so the earliest
+//! head is last. Keys are unique, since seqs are. Seqs start at 1, so the
+//! key 0 marks an empty departure slot or rail. A pop takes the last
+//! entry and re-inserts its rail's new head, scanning from the latest
+//! end. A push that leaves its rail's head unchanged, such as a delivery
+//! queued behind another, touches no index. A head that appears or moves
+//! earlier, such as a rail refilling or a departure armed ahead of
+//! in-flight deliveries, is found by key, removed and re-inserted.
+//!
+//! Each reindex therefore costs `O(active rails)` compares and moves,
+//! where a heap costs `O(log rails)`. That fits the topologies simulated
+//! here: a dumbbell has four rails per single-flow job plus three (27 on
+//! the six-job benchmark), and multi-bottleneck fabrics such as Clos are
+//! not built. On the six-job benchmark about five rails hold events at a
+//! time, and a popped rail's next head, one serialization later, usually
+//! sorts behind all but one or two of the others, so the scan stops
+//! within about three entries and moves about four. A fabric with
+//! hundreds of busy links would want a heap again.
 //!
 //! ## Reserved sequence numbers
 //!
@@ -78,7 +101,13 @@
 //! or fault, which pins a wheel entry at 40 bytes (test-enforced by
 //! `event_size_stays_small`), so its heap sifts stay cheap. The rails
 //! store the [`Delivery`] payload inline in their deques — deque pushes
-//! don't sift — and hand it to the dispatcher by value.
+//! don't sift — and hand it to the dispatcher by value. A pop copies the
+//! event's `(at, seq)` from where it sat in the queue: the deque entry,
+//! the departure key, or the wheel heap's top rather than
+//! `BinaryHeap::pop`'s return slot. On x86-64 the pair then lands in
+//! [`Popped`] as one 16-byte store, and the dispatcher's 16-byte reload
+//! of it is forwarded from that store. A pair written as two 8-byte
+//! halves would stall that reload.
 //!
 //! ## Capacity release
 //!
@@ -202,17 +231,12 @@ pub enum PoppedKind {
     },
 }
 
-impl Event {
-    fn popped(self) -> Popped {
-        let kind = match self.kind {
+impl From<WheelKind> for PoppedKind {
+    fn from(kind: WheelKind) -> Self {
+        match kind {
             WheelKind::Timer { agent, token } => PoppedKind::Timer { agent, token },
             WheelKind::Message { to, from, token } => PoppedKind::Message { to, from, token },
             WheelKind::Fault { index } => PoppedKind::Fault { index },
-        };
-        Popped {
-            at: self.at,
-            seq: self.seq,
-            kind,
         }
     }
 }
@@ -327,16 +351,23 @@ impl Wheel {
         debug_assert!(!self.active.is_empty());
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    fn peek_key(&mut self) -> Option<u128> {
         self.ensure_active();
-        self.active.peek().map(|e| (e.at, e.seq))
+        self.active.peek().map(|e| pack(e.at, e.seq))
     }
 
-    fn pop(&mut self) -> Option<Event> {
+    /// Pops the earliest event, copying its `(at, seq)` from the heap top
+    /// (see the module docs, *Event size*).
+    fn pop(&mut self) -> Option<Popped> {
         self.ensure_active();
+        let &Event { at, seq, .. } = self.active.peek()?;
         let e = self.active.pop()?;
         self.len -= 1;
-        Some(e)
+        Some(Popped {
+            at,
+            seq,
+            kind: e.kind.into(),
+        })
     }
 
     fn capacity(&self) -> usize {
@@ -365,6 +396,18 @@ impl Wheel {
     }
 }
 
+/// Packs a `(time, seq)` key into one `u128` whose integer order is the
+/// key's lexicographic order, so the rail index compares keys with one
+/// branch-free compare. Seqs start at 1, so no event packs to
+/// [`NO_KEY`].
+#[inline]
+fn pack(at: SimTime, seq: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The packed key of no event: an empty departure slot or rail head.
+const NO_KEY: u128 = 0;
+
 /// An in-flight delivery riding a link rail (payload inline: deque
 /// pushes don't sift, so fat entries cost one copy each way).
 #[derive(Debug)]
@@ -374,142 +417,77 @@ struct RailDelivery {
     d: Delivery,
 }
 
+impl RailDelivery {
+    #[inline]
+    fn key(&self) -> u128 {
+        pack(self.at, self.seq)
+    }
+}
+
 /// One directed channel's pending events: the departure of the packet
-/// being serialized (when one is scheduled), and the FIFO of packets on
-/// the wire. The loopback rail holds only host-local deliveries.
+/// being serialized (its packed key, [`NO_KEY`] when none is scheduled),
+/// and the FIFO of packets on the wire. The loopback rail holds only
+/// host-local deliveries.
 #[derive(Debug, Default)]
 struct Rail {
-    departure: Option<(SimTime, u64)>,
+    departure: u128,
     deliveries: VecDeque<RailDelivery>,
 }
 
 impl Rail {
-    fn head_key(&self) -> Option<(SimTime, u64)> {
-        let del = self.deliveries.front().map(|r| (r.at, r.seq));
-        match (self.departure, del) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// The packed key of the rail's earliest event, or [`NO_KEY`].
+    #[inline]
+    fn head_key(&self) -> u128 {
+        match self.deliveries.front() {
+            Some(d) if self.departure == NO_KEY || d.key() < self.departure => d.key(),
+            _ => self.departure,
         }
     }
 }
 
-/// Sentinel for "not in the rail index heap".
-const ABSENT: u32 = u32::MAX;
-
-/// An index-min-heap entry: a rail's head `(time, seq)` key, cached,
-/// plus the index of the rail it belongs to. Caching the key keeps sift
-/// comparisons inside the heap array instead of chasing into `rails`
-/// twice per comparison.
-#[derive(Debug, Clone, Copy)]
-struct RailEntry {
-    at: SimTime,
-    seq: u64,
-    rail: u32,
-}
-
-impl RailEntry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Per-link rails under an index-min-heap keyed by each rail's head
-/// `(time, seq)`. The heap has one entry per *rail with pending events*
-/// — topology-sized, not event-population-sized. Rail 0 is the loopback
-/// rail of host-local sends ([`LinkId::NONE`]); link `i` rides rail
-/// `i + 1`.
+/// Per-link rails under a sorted index of their head keys. Rail 0 is the
+/// loopback rail of host-local sends ([`LinkId::NONE`]); link `i` rides
+/// rail `i + 1`.
 #[derive(Debug, Default)]
 struct Rails {
     rails: Vec<Rail>,
-    heap: Vec<RailEntry>,
-    /// `pos[rail] == ABSENT` when the rail has no pending events.
-    pos: Vec<u32>,
+    /// `(head key, rail)` of every rail with pending events, sorted by
+    /// descending key, so the earliest head is last. Keys are unique.
+    index: Vec<(u128, u32)>,
 }
 
 impl Rails {
-    /// The index of `link`'s rail, growing the tables to hold it.
+    /// The index of `link`'s rail, growing the table to hold it.
+    #[inline]
     fn rail_of(&mut self, link: LinkId) -> usize {
         let li = link.0.wrapping_add(1) as usize;
         if li >= self.rails.len() {
             self.rails.resize_with(li + 1, Rail::default);
-            self.pos.resize(li + 1, ABSENT);
         }
         li
     }
 
+    /// Inserts rail `li`'s head `key` into the index, scanning from the
+    /// latest end: a popped rail's next head is usually later than most
+    /// other heads (see the module docs, *The rail index*).
     #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].rail as usize] = a as u32;
-        self.pos[self.heap[b].rail as usize] = b as u32;
+    fn insert(&mut self, key: u128, li: usize) {
+        let at = self
+            .index
+            .iter()
+            .position(|e| e.0 < key)
+            .unwrap_or(self.index.len());
+        self.index.insert(at, (key, li as u32));
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+    /// Moves rail `li`'s head in the index from `old` to the earlier
+    /// `new`; an `old` of [`NO_KEY`] means the rail was not indexed.
+    fn head_moved_earlier(&mut self, old: u128, new: u128, li: usize) {
+        if old != NO_KEY {
+            let p = self.index.iter().rposition(|e| e.0 == old);
+            self.index.remove(p.expect("indexed rail head"));
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let mut best = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < self.heap.len() && self.heap[child].key() < self.heap[best].key() {
-                    best = child;
-                }
-            }
-            if best == i {
-                break;
-            }
-            self.swap(i, best);
-            i = best;
-        }
-    }
-
-    /// Re-positions rail `li` in the index heap after its head changed,
-    /// refreshing the cached key.
-    fn reindex(&mut self, li: usize) {
-        let head = self.rails[li].head_key();
-        match (self.pos[li], head) {
-            (ABSENT, Some((at, seq))) => {
-                let i = self.heap.len();
-                self.heap.push(RailEntry {
-                    at,
-                    seq,
-                    rail: li as u32,
-                });
-                self.pos[li] = i as u32;
-                self.sift_up(i);
-            }
-            (ABSENT, None) => {}
-            (p, Some((at, seq))) => {
-                let p = p as usize;
-                self.heap[p].at = at;
-                self.heap[p].seq = seq;
-                self.sift_up(p);
-                self.sift_down(p);
-            }
-            (p, None) => {
-                let p = p as usize;
-                let last = self.heap.len() - 1;
-                if p != last {
-                    self.swap(p, last);
-                }
-                self.heap.pop();
-                self.pos[li] = ABSENT;
-                if p < self.heap.len() {
-                    self.sift_up(p);
-                    self.sift_down(p);
-                }
-            }
-        }
+        self.insert(new, li);
     }
 
     /// Takes `link`'s departure slot.
@@ -520,13 +498,14 @@ impl Rails {
         let li = self.rail_of(link);
         let rail = &mut self.rails[li];
         assert!(
-            rail.departure.is_none(),
+            rail.departure == NO_KEY,
             "second pending departure on {link:?}"
         );
-        let old = rail.head_key();
-        rail.departure = Some((at, seq));
-        if old != rail.head_key() {
-            self.reindex(li);
+        let key = pack(at, seq);
+        rail.departure = key;
+        let old = rail.deliveries.front().map_or(NO_KEY, RailDelivery::key);
+        if old == NO_KEY || key < old {
+            self.head_moved_earlier(old, key, li);
         }
     }
 
@@ -537,47 +516,52 @@ impl Rails {
     fn push_delivery(&mut self, at: SimTime, seq: u64, d: Delivery) {
         let li = self.rail_of(d.via);
         let rail = &mut self.rails[li];
-        if let Some(last) = rail.deliveries.back() {
-            assert!(last.at <= at, "out-of-order delivery on {:?}", d.via);
-        }
-        let old = rail.head_key();
+        let (key, old) = (pack(at, seq), rail.departure);
+        // Behind an earlier delivery, the head stays put.
+        let moved = match rail.deliveries.back() {
+            Some(last) => {
+                assert!(last.at <= at, "out-of-order delivery on {:?}", d.via);
+                false
+            }
+            None => old == NO_KEY || key < old,
+        };
         rail.deliveries.push_back(RailDelivery { at, seq, d });
-        if old != rail.head_key() {
-            self.reindex(li);
+        if moved {
+            self.head_moved_earlier(old, key, li);
         }
     }
 
     #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(RailEntry::key)
+    fn peek_key(&self) -> Option<u128> {
+        self.index.last().map(|e| e.0)
     }
 
-    fn pop_min(&mut self) -> Option<Popped> {
-        let li = self.heap.first()?.rail;
-        let liu = li as usize;
-        let rail = &mut self.rails[liu];
-        let take_departure = match (rail.departure, rail.deliveries.front()) {
-            (Some(a), Some(b)) => a < (b.at, b.seq),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("empty rail in heap"),
-        };
-        let out = if take_departure {
-            let (at, seq) = rail.departure.take().expect("checked");
-            let link = LinkId(li.wrapping_sub(1));
-            let kind = PoppedKind::ChannelIdle { link };
-            Popped { at, seq, kind }
+    /// Pops the earliest rail head: the index's last entry.
+    fn pop_min(&mut self) -> Popped {
+        let (key, li) = self.index.pop().expect("rail head exists");
+        let rail = &mut self.rails[li as usize];
+        let p = if key == rail.departure {
+            rail.departure = NO_KEY;
+            Popped {
+                at: SimTime((key >> 64) as u64),
+                seq: key as u64,
+                kind: PoppedKind::ChannelIdle {
+                    link: LinkId(li.wrapping_sub(1)),
+                },
+            }
         } else {
-            let r = rail.deliveries.pop_front().expect("checked");
-            let kind = PoppedKind::Deliver(r.d);
+            let r = rail.deliveries.pop_front().expect("indexed rail head");
             Popped {
                 at: r.at,
                 seq: r.seq,
-                kind,
+                kind: PoppedKind::Deliver(r.d),
             }
         };
-        self.reindex(liu);
-        Some(out)
+        let head = rail.head_key();
+        if head != NO_KEY {
+            self.insert(head, li as usize);
+        }
+        p
     }
 
     fn capacity(&self) -> usize {
@@ -717,25 +701,21 @@ impl EventQueue {
     /// Peek and pop are fused: the run loop calls this once per event,
     /// so the min-across-sources comparison happens exactly once.
     pub fn pop_event_before(&mut self, deadline: SimTime) -> Option<Popped> {
-        let (at, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
-            (Some(w), Some(r)) => {
-                if r < w {
-                    (r.0, true)
-                } else {
-                    (w.0, false)
-                }
-            }
-            (None, Some(r)) => (r.0, true),
-            (Some(w), None) => (w.0, false),
+        let (key, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
+            (Some(w), Some(r)) => (w.min(r), r < w),
+            (None, Some(r)) => (r, true),
+            (Some(w), None) => (w, false),
             (None, None) => return None,
         };
-        if at > deadline {
+        if (key >> 64) as u64 > deadline.as_nanos() {
             return None;
         }
+        // Each source builds the `Popped`, so `(at, seq)` leaves as one
+        // 16-byte store (see the module docs, *Event size*).
         let p = if take_rail {
-            self.rails.pop_min().expect("rail head exists")
+            self.rails.pop_min()
         } else {
-            self.wheel.pop().expect("wheel head exists").popped()
+            self.wheel.pop().expect("wheel head exists")
         };
         self.len -= 1;
         if self.len == 0 {
@@ -912,6 +892,27 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_delivery(SimTime(20), NodeId(1), LinkId(2), 0, pkt());
         q.schedule_delivery(SimTime(10), NodeId(1), LinkId(2), 0, pkt());
+    }
+
+    #[test]
+    fn departure_ahead_of_queued_deliveries_pops_first() {
+        let mut q = EventQueue::new();
+        let dep = q.reserve_seq();
+        q.schedule_delivery(SimTime(30), NodeId(1), LinkId(1), 0, pkt());
+        q.schedule_delivery(SimTime(50), NodeId(1), LinkId(1), 0, pkt());
+        q.schedule_delivery(SimTime(40), NodeId(1), LinkId(2), 0, pkt());
+        q.schedule_delivery(SimTime(20), NodeId(1), LinkId(3), 0, pkt());
+        // Link 1's head moves from its delivery at 30 to a departure at 10.
+        q.schedule_departure(SimTime(10), dep, LinkId(1));
+        let order: Vec<(u64, LinkId)> = std::iter::from_fn(|| q.pop_event())
+            .map(|e| match e.kind {
+                PoppedKind::ChannelIdle { link } => (e.at.0, link),
+                PoppedKind::Deliver(d) => (e.at.0, d.via),
+                _ => unreachable!(),
+            })
+            .collect();
+        let (l1, l2, l3) = (LinkId(1), LinkId(2), LinkId(3));
+        assert_eq!(order, [(10, l1), (20, l3), (30, l1), (40, l2), (50, l1)]);
     }
 
     mod props {

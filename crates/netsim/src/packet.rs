@@ -67,9 +67,9 @@ pub enum SegmentHeader {
 
 /// A simulated packet.
 ///
-/// All fields are plain values, so the packet is `Copy`: the hot path
-/// moves packets out of their pooled boxes (see [`crate::event`]) with a
-/// memcpy instead of a clone call.
+/// All fields are plain values, so the packet is `Copy`: a delivery
+/// carries it inline on its link's rail (see [`crate::event`]) and hands
+/// it to the dispatcher with a memcpy instead of a clone call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// The flow this packet belongs to. Acks use the *data* flow's id so

@@ -71,20 +71,6 @@ impl IterationStats {
         self.durations_secs.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Minimum duration (0 for empty).
-    pub fn min(&self) -> f64 {
-        self.durations_secs
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .min(if self.durations_secs.is_empty() {
-                0.0
-            } else {
-                f64::INFINITY
-            })
-    }
-
     /// Empirical CDF as `(duration_secs, cumulative_probability)` points.
     pub fn cdf(&self) -> Vec<(f64, f64)> {
         let mut sorted = self.durations_secs.clone();
