@@ -59,19 +59,44 @@ impl PeriodicJob {
     }
 
     /// Whether the job is communicating at time `t` (ideal schedule).
+    ///
+    /// The phase within the period is `(t − offset) % T`, lifted into
+    /// `[0, T]`, and the job communicates while that phase modulo the
+    /// sub-period `T/b` is below `a·T/b`. Both reductions go through
+    /// `rem`, which returns the bits `%` would, so the answer is that
+    /// of the plain `%` formula at every `t`.
     pub fn is_communicating(&self, t: f64) -> bool {
-        let mut phase = (t - self.offset) % self.period;
+        let mut phase = rem(t - self.offset, self.period);
         if phase < 0.0 {
             phase += self.period;
         }
         let b = f64::from(self.bursts.max(1));
         let sub_period = self.period / b;
-        (phase % sub_period) < self.comm_duration() / b
+        rem(phase, sub_period) < self.comm_duration() / b
     }
 
     /// Returns a copy with a different offset.
     pub fn with_offset(&self, offset: f64) -> Self {
         Self { offset, ..*self }
+    }
+}
+
+/// `x % y`, bit for bit, skipping the software `fmod` for quotients
+/// below 2.
+///
+/// `fmod` is exact: it returns `x − n·y` with `n = trunc(x / y)` and no
+/// rounding. So for `|x| < y` it returns `x` itself (`−0.0` included),
+/// and for `y ≤ x < 2y` it returns `x − y`, a subtraction Sterbenz's
+/// lemma makes exact. Everything else (NaN, infinities, `y ≤ 0`,
+/// `x ≤ −y`, `x ≥ 2y`) takes `%`.
+#[inline]
+fn rem(x: f64, y: f64) -> f64 {
+    if x.abs() < y {
+        x
+    } else if x >= y && x < 2.0 * y {
+        x - y
+    } else {
+        x % y
     }
 }
 
@@ -91,10 +116,13 @@ pub fn hyperperiod(jobs: &[PeriodicJob], resolution: f64) -> f64 {
     let mut l: u64 = 1;
     for j in jobs {
         let p = (j.period / res).round().max(1.0) as u64;
-        l = l / gcd(l, p) * p;
-        // Guard against pathological mixes blowing up the grid.
-        if l > 1_000_000_000_000 {
-            return l as f64 * res;
+        let q = l / gcd(l, p);
+        // Guard against pathological mixes blowing up the grid, and
+        // against the product overflowing `u64` on the way there.
+        match q.checked_mul(p) {
+            Some(next) if next <= 1_000_000_000_000 => l = next,
+            Some(next) => return next as f64 * res,
+            None => return q as f64 * p as f64 * res,
         }
     }
     l as f64 * res
@@ -168,9 +196,102 @@ pub fn total_comm_demand(jobs: &[PeriodicJob]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn job(t: f64, a: f64, off: f64) -> PeriodicJob {
         PeriodicJob::new(t, a, off).unwrap()
+    }
+
+    /// Values `fmod` treats specially or that sit at the edges of the
+    /// fast paths: signed zeros, NaN, infinities, subnormals, extremes.
+    const SPECIAL: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        2.0e-308,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::MAX / 2.0,
+        f64::MAX / 4.0,
+        1.0,
+    ];
+
+    /// Any bit pattern (every exponent and sign, NaNs included), a
+    /// special value, or a value of the periodic model's magnitude.
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            3 => any::<u64>().prop_map(f64::from_bits),
+            1 => (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+            2 => 1e-4f64..100.0,
+        ]
+    }
+
+    /// `x` moved by `n` steps of its bit pattern (ulps away from zero
+    /// for positive `n`).
+    fn ulps(x: f64, n: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(n))
+    }
+
+    fn assert_rem_bits(x: f64, y: f64) {
+        let (got, want) = (rem(x, y), x % y);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "rem({x:e}, {y:e}) = {got:e}, % gives {want:e}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `rem` returns exactly the bits of `%`: on random pairs, and
+        /// on `x = k·y ± 0–3 ulp` for `k ∈ −5..=5`, which covers both
+        /// fast paths, their edges and the quotients either side.
+        #[test]
+        fn rem_matches_percent_bit_for_bit(x in any_f64(), y in any_f64()) {
+            for (a, b) in [(x, y), (y, x), (x, x), (-x, y), (x, -y)] {
+                assert_rem_bits(a, b);
+            }
+            for k in -5i32..=5 {
+                let ky = f64::from(k) * y;
+                for d in -3i64..=3 {
+                    assert_rem_bits(ulps(ky, d), y);
+                    assert_rem_bits(ulps(ky, d), ulps(y, d));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rem_special_values_match_percent() {
+        for &x in &SPECIAL {
+            for &y in &SPECIAL {
+                assert_rem_bits(x, y);
+                assert_rem_bits(-x, -y);
+            }
+        }
+    }
+
+    #[test]
+    fn hyperperiod_overflow_takes_the_guard() {
+        // 0.999999 s and 1.000001 s snap to coprime µs counts whose lcm,
+        // 999 999 999 999, sits just under the 10¹² guard; times the
+        // 10⁸ µs of the third period it overflows `u64`.
+        let jobs = [
+            job(0.999999, 0.5, 0.0),
+            job(1.000001, 0.5, 0.0),
+            job(100.0, 0.5, 0.0),
+        ];
+        let h = hyperperiod(&jobs, 1e-6);
+        assert_eq!(h, 999_999_999_999f64 * 1e8 * 1e-6);
+        assert!(h.is_finite() && h > 1e6);
+        // Without the third job the guard is not reached.
+        assert_eq!(hyperperiod(&jobs[..2], 1e-6), 999_999_999_999f64 * 1e-6);
     }
 
     #[test]

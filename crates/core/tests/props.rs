@@ -159,3 +159,56 @@ proptest! {
         prop_assert!((avg - expect).abs() < 0.02 * jobs.len() as f64, "avg {avg} vs {expect}");
     }
 }
+
+/// `PeriodicJob::is_communicating` written with plain `%` for both
+/// reductions: the reference its exact-remainder fast paths reproduce.
+fn is_communicating_by_percent(j: &PeriodicJob, t: f64) -> bool {
+    let mut phase = (t - j.offset) % j.period;
+    if phase < 0.0 {
+        phase += j.period;
+    }
+    let b = f64::from(j.bursts.max(1));
+    let sub_period = j.period / b;
+    (phase % sub_period) < j.comm_duration() / b
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `is_communicating` agrees with the `%` formula at random times in
+    /// `[−2T, 4T]` and one ulp either side of every sub-burst's start
+    /// and end edge over that span.
+    #[test]
+    fn is_communicating_matches_percent_formula(
+        period in 1e-4f64..100.0,
+        a in 0.01f64..1.0,
+        bursts in 1u32..5,
+        offset_frac in -1.0f64..1.0,
+        ts in proptest::collection::vec(-2.0f64..4.0, 64),
+    ) {
+        let j = PeriodicJob::new(period, a, offset_frac * period)
+            .expect("valid")
+            .with_bursts(bursts);
+        let check = |t: f64| {
+            assert_eq!(
+                j.is_communicating(t),
+                is_communicating_by_percent(&j, t),
+                "t = {t:e} for {j:?}"
+            );
+        };
+        for &x in &ts {
+            check(x * period);
+        }
+        let b = f64::from(bursts);
+        let sub = period / b;
+        let burst = j.comm_duration() / b;
+        for k in -2 * bursts as i32..=4 * bursts as i32 {
+            let start = j.offset + f64::from(k) * sub;
+            for edge in [start, start + burst] {
+                for t in [edge.next_down(), edge, edge.next_up()] {
+                    check(t);
+                }
+            }
+        }
+    }
+}

@@ -145,7 +145,9 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         .map(|(j, &o)| j.with_offset(o))
         .collect();
     let horizon = hyperperiod(&current, 1e-6);
-    let mut best_excess = contention(&current, samples).excess_demand;
+    let mut report = contention(&current, samples);
+    let mut best_excess = report.excess_demand;
+    let mut moved = false;
     for _round in 0..4 {
         if best_excess == 0.0 {
             break;
@@ -175,11 +177,15 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         if !improved {
             break;
         }
+        moved = true;
     }
-    let offsets: Vec<f64> = current.iter().map(|j| j.offset).collect();
+    // The greedy placement's report stands unless descent moved a job.
+    if moved {
+        report = contention(&current, samples);
+    }
     InterleavedSchedule {
-        report: contention(&current, samples),
-        offsets,
+        offsets: current.iter().map(|j| j.offset).collect(),
+        report,
     }
 }
 

@@ -1,13 +1,53 @@
 //! The Cassini optimizer against a reference model: the same scan with
-//! every candidate offset scored by a full `contention()` call, which
+//! every candidate offset scored by a full contention evaluation, which
 //! re-samples every job over the hyperperiod. `optimize_offsets` scores
 //! candidates against a cached demand profile of the other jobs, an
 //! optimisation of exactly that computation, so both must return
 //! bit-identical offsets and reports on any mix.
+//!
+//! The reference samples phases with its own plain-`%` copy of
+//! `is_communicating` and its own contention sum, so it does not share
+//! the exact-remainder fast paths of `mltcp_core::schedule` it checks.
 
-use mltcp_core::schedule::{contention, PeriodicJob};
+use mltcp_core::schedule::{hyperperiod, ContentionReport, PeriodicJob};
 use mltcp_sched::cassini::{optimize_offsets, InterleavedSchedule};
 use proptest::prelude::*;
+
+/// Whether `j` communicates at `t`, reduced with plain `%`.
+fn is_communicating(j: &PeriodicJob, t: f64) -> bool {
+    let mut phase = (t - j.offset) % j.period;
+    if phase < 0.0 {
+        phase += j.period;
+    }
+    let b = f64::from(j.bursts.max(1));
+    let sub_period = j.period / b;
+    (phase % sub_period) < j.comm_duration() / b
+}
+
+/// `mltcp_core::schedule::contention` over [`is_communicating`]: the
+/// same samples of the hyperperiod, summed in the same order.
+fn contention(jobs: &[PeriodicJob], samples: usize) -> ContentionReport {
+    let horizon = hyperperiod(jobs, 1e-6);
+    let n = samples.max(1);
+    let dt = horizon / n as f64;
+    let mut peak = 0u32;
+    let mut contended = 0usize;
+    let mut excess = 0.0;
+    for i in 0..n {
+        let t = horizon * i as f64 / n as f64;
+        let d = jobs.iter().filter(|j| is_communicating(j, t)).count() as u32;
+        peak = peak.max(d);
+        if d >= 2 {
+            contended += 1;
+            excess += (d - 1) as f64 * dt;
+        }
+    }
+    ContentionReport {
+        peak_overlap: peak,
+        contended_time_fraction: contended as f64 / n as f64,
+        excess_demand: excess,
+    }
+}
 
 /// Excess-demand integral for a candidate offset assignment.
 fn excess(jobs: &[PeriodicJob], samples: usize) -> f64 {

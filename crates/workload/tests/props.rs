@@ -1,9 +1,12 @@
 //! Property-based tests over the workload layer: statistics invariants
 //! and driver/scenario behaviour under randomized job geometry.
 
+use mltcp_netsim::fault::GilbertElliott;
 use mltcp_netsim::link::Bandwidth;
+use mltcp_netsim::queue::QueueKind;
 use mltcp_netsim::time::{SimDuration, SimTime};
-use mltcp_workload::scenario::{CongestionSpec, ScenarioBuilder};
+use mltcp_transport::sender::TcpSender;
+use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault, ScenarioBuilder};
 use mltcp_workload::stats::{speedup_at, IterationStats};
 use mltcp_workload::JobSpec;
 use proptest::prelude::*;
@@ -88,12 +91,48 @@ proptest! {
     }
 }
 
+/// A congestion control for a random mix: the three base algorithms and
+/// the paper's MLTCP-Reno.
+fn any_cc() -> impl Strategy<Value = CongestionSpec> {
+    prop_oneof![
+        Just(CongestionSpec::Reno),
+        Just(CongestionSpec::Cubic),
+        Just(CongestionSpec::Dctcp),
+        Just(CongestionSpec::MltcpReno(FnSpec::Paper)),
+    ]
+}
+
+/// No fault, or one bottleneck fault of each class with onset
+/// `at_frac` of the way into the first two iterations and a window of
+/// `len_us`.
+fn fault(kind: u32, at_frac: f64, len_us: u64, iteration: SimDuration) -> Option<LinkFault> {
+    let at = SimTime::ZERO + iteration.mul_f64(2.0 * at_frac);
+    let duration = SimDuration::micros(len_us);
+    match kind {
+        0 => None,
+        1 => Some(LinkFault::Down { at, duration }),
+        2 => Some(LinkFault::Brownout {
+            at,
+            duration,
+            factor: 0.25,
+        }),
+        _ => Some(LinkFault::BurstyLoss {
+            at,
+            duration,
+            model: GilbertElliott::bursty(0.08, 0.25, 0.4),
+        }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any small random job mix (possibly multi-burst, noisy, offset)
+    /// Any small random job mix (possibly multi-burst, noisy, offset),
+    /// under any congestion control and through any one bottleneck fault,
     /// runs to completion and records exactly `iterations` records per
-    /// job, with strictly increasing iteration timestamps.
+    /// job, with strictly increasing iteration timestamps. Every sender
+    /// ends idle, and the bytes it reports acknowledged are exactly the
+    /// bytes of the transfers it reported complete.
     #[test]
     fn random_mixes_complete_with_exact_records(
         n_jobs in 1usize..4,
@@ -101,10 +140,22 @@ proptest! {
         comm_us in 50u64..400,
         compute_us in 500u64..2_000,
         seed in 0u64..1_000,
+        cc in any_cc(),
+        (fault_kind, at_frac, len_us) in (0u32..4, 0.0f64..1.0, 100u64..2_000),
     ) {
         let bytes = comm_us * 50_000 / 8; // comm_us at 50 Gbps
         let iters = 4u32;
         let mut b = ScenarioBuilder::new(seed);
+        if cc.needs_ecn() {
+            b = b.bottleneck_queue(QueueKind::EcnDropTail {
+                cap_bytes: 300_000,
+                mark_threshold_bytes: 100_000,
+            });
+        }
+        let fault = fault(fault_kind, at_frac, len_us, SimDuration::micros(compute_us + comm_us));
+        if let Some(f) = fault.clone() {
+            b = b.bottleneck_fault(f);
+        }
         for i in 0..n_jobs {
             let j = JobSpec::new(
                 format!("j{i}"),
@@ -115,11 +166,11 @@ proptest! {
             .with_bursts(bursts)
             .with_offset(SimDuration::micros(i as u64 * 37))
             .with_noise(SimDuration::micros(compute_us / 100));
-            b = b.job(j, CongestionSpec::Reno);
+            b = b.job(j, cc.clone());
         }
         let mut sc = b.build();
         sc.run(SimTime::from_secs_f64(5.0));
-        prop_assert!(sc.all_finished());
+        prop_assert!(sc.all_finished(), "{} with {fault:?}", cc.label());
         for i in 0..n_jobs {
             let stats = sc.stats(i);
             prop_assert_eq!(stats.len(), iters as usize);
@@ -128,6 +179,12 @@ proptest! {
             prop_assert_eq!(starts.len(), iters as usize);
             for w in starts.windows(2) {
                 prop_assert!(w[0] < w[1]);
+            }
+            for &s in &sc.jobs[i].senders {
+                let tx = sc.sim.agent::<TcpSender>(s);
+                prop_assert!(tx.is_idle());
+                let completed: u64 = tx.completions().iter().map(|&(_, b)| b).sum();
+                prop_assert_eq!(tx.bytes_acked(), completed);
             }
         }
     }
