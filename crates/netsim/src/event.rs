@@ -53,6 +53,12 @@
 //! loopback rail; each is scheduled at the current instant under a
 //! rising seq, so they are FIFO by construction.
 //!
+//! A rail entry holds only what differs per packet: `(at, seq, epoch,
+//! pkt)`. The carrying link is the rail itself, and the receiving node
+//! follows from it (the link's far end, or `pkt.dst` on the loopback
+//! rail), so neither is stored; the dispatcher resolves the node when
+//! the delivery pops.
+//!
 //! ## The rail index
 //!
 //! The earliest head comes from one `Vec` of `(key, rail)` pairs, one per
@@ -99,26 +105,40 @@
 //!
 //! The wheel holds no deliveries: its events carry only a timer, message
 //! or fault, which pins a wheel entry at 40 bytes (test-enforced by
-//! `event_size_stays_small`), so its heap sifts stay cheap. The rails
-//! store the [`Delivery`] payload inline in their deques — deque pushes
-//! don't sift — and hand it to the dispatcher by value. A pop copies the
-//! event's `(at, seq)` from where it sat in the queue: the deque entry,
-//! the departure key, or the wheel heap's top rather than
-//! `BinaryHeap::pop`'s return slot. On x86-64 the pair then lands in
-//! [`Popped`] as one 16-byte store, and the dispatcher's 16-byte reload
-//! of it is forwarded from that store. A pair written as two 8-byte
-//! halves would stall that reload.
+//! `event_size_stays_small`), so its heap sifts stay cheap. A rail entry
+//! is `(at, seq, epoch, pkt)` and nothing else, 72 bytes with the
+//! packet inline (also test-enforced): deque pushes don't sift, so the
+//! packet is written once, when the hop is scheduled, and read once,
+//! when it pops. [`PoppedKind::Deliver`] rebuilds the [`Delivery`] from
+//! the entry and the rail's link.
+//!
+//! The read is one copy. The pop is inlined into the simulator's step,
+//! so the popped fields go from the deque entry to the handler without a
+//! [`Popped`] written to memory and read back in wider chunks, which
+//! stalls store-to-load forwarding on x86-64. Two layout choices keep the
+//! packet's bytes whole on the way: the pop copies the entry out of
+//! `VecDeque::front` rather than `pop_front`, whose `Option` would test a
+//! niche inside the packet, and [`PoppedKind`] is `repr(u8)`, so its tag
+//! is a byte of its own rather than a niche in the packet's header.
+//!
+//! The queue keeps no length counter: it is empty when the wheel and the
+//! rail index are, and [`EventQueue::len`] is counted on demand. A
+//! counter bumped beside `next_seq` on every schedule would be one more
+//! store per hop, and one the compiler may merge with `next_seq`'s into
+//! a wide load that stalls behind the scalar store of a preceding
+//! [`EventQueue::reserve_seq`].
 //!
 //! ## Capacity release
 //!
 //! Large scenarios grow the engine's internal buffers to their peak
-//! event population. When the queue drains (and on explicit
-//! [`EventQueue::shrink_to_fit`] calls) any oversized buffer is returned
-//! to the allocator, so a process running many scenarios back to back
-//! holds peak memory only while the peak scenario runs.
+//! event population. When a pop finds the queue drained (and on
+//! explicit [`EventQueue::shrink_to_fit`] calls) any oversized buffer is
+//! returned to the allocator, so a process running many scenarios back
+//! to back holds peak memory only while the peak scenario runs. The run
+//! loop pops until a pop returns nothing, so the check costs nothing per
+//! event.
 
 use crate::link::LinkId;
-use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -126,16 +146,16 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// A packet in flight: the payload of [`PoppedKind::Deliver`].
 ///
-/// Besides the packet itself, a delivery remembers which channel carried
-/// it (`via`) and that channel's incarnation (`epoch`) at serialization
-/// time, so fault injection can cut packets that were on the wire when a
-/// link went down: the arrival handler drops any delivery whose stamped
-/// epoch no longer matches the channel's. Host-local sends use
-/// [`LinkId::NONE`] and are never cut.
+/// Besides the packet itself, a delivery names the channel that carried
+/// it (`via`, the rail it rode) and that channel's incarnation (`epoch`)
+/// at serialization time, so fault injection can cut packets that were
+/// on the wire when a link went down: the arrival handler drops any
+/// delivery whose stamped epoch no longer matches the channel's.
+/// Host-local sends use [`LinkId::NONE`] and are never cut. The
+/// receiving node is not stored: it is `via`'s far end, or `pkt.dst` for
+/// a host-local send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
-    /// Receiving node.
-    pub node: NodeId,
     /// The channel the packet crossed ([`LinkId::NONE`] for local sends).
     pub via: LinkId,
     /// The channel's epoch when serialization started.
@@ -193,7 +213,13 @@ pub struct Popped {
 }
 
 /// What happens when a popped event fires. See [`Popped`].
+///
+/// `repr(u8)` gives the kind a tag byte of its own. Without it the tag
+/// would be a niche in the delivery's packet header, and every match on
+/// the kind would split the packet's bytes (see the module docs, *Event
+/// size*).
 #[derive(Debug)]
+#[repr(u8)]
 pub enum PoppedKind {
     /// A packet finishes propagation and arrives (payload inline).
     Deliver(Delivery),
@@ -357,7 +383,7 @@ impl Wheel {
     }
 
     /// Pops the earliest event, copying its `(at, seq)` from the heap top
-    /// (see the module docs, *Event size*).
+    /// rather than from `BinaryHeap::pop`'s return slot.
     fn pop(&mut self) -> Option<Popped> {
         self.ensure_active();
         let &Event { at, seq, .. } = self.active.peek()?;
@@ -408,13 +434,16 @@ fn pack(at: SimTime, seq: u64) -> u128 {
 /// The packed key of no event: an empty departure slot or rail head.
 const NO_KEY: u128 = 0;
 
-/// An in-flight delivery riding a link rail (payload inline: deque
-/// pushes don't sift, so fat entries cost one copy each way).
+/// An in-flight delivery riding a link rail: its key, the carrying
+/// link's epoch and the packet inline. The link is the rail's own and
+/// the receiving node follows from it (see the module docs, *Link
+/// rails*).
 #[derive(Debug)]
 struct RailDelivery {
     at: SimTime,
     seq: u64,
-    d: Delivery,
+    epoch: u32,
+    pkt: Packet,
 }
 
 impl RailDelivery {
@@ -509,23 +538,28 @@ impl Rails {
         }
     }
 
-    /// Appends a delivery to its link's FIFO; `seq` must be fresh.
+    /// Appends a delivery to `via`'s FIFO; `seq` must be fresh.
     ///
     /// # Panics
     /// Panics if the delivery arrives before the link's last one.
-    fn push_delivery(&mut self, at: SimTime, seq: u64, d: Delivery) {
-        let li = self.rail_of(d.via);
+    fn push_delivery(&mut self, at: SimTime, seq: u64, via: LinkId, epoch: u32, pkt: Packet) {
+        let li = self.rail_of(via);
         let rail = &mut self.rails[li];
         let (key, old) = (pack(at, seq), rail.departure);
         // Behind an earlier delivery, the head stays put.
         let moved = match rail.deliveries.back() {
             Some(last) => {
-                assert!(last.at <= at, "out-of-order delivery on {:?}", d.via);
+                assert!(last.at <= at, "out-of-order delivery on {via:?}");
                 false
             }
             None => old == NO_KEY || key < old,
         };
-        rail.deliveries.push_back(RailDelivery { at, seq, d });
+        rail.deliveries.push_back(RailDelivery {
+            at,
+            seq,
+            epoch,
+            pkt,
+        });
         if moved {
             self.head_moved_earlier(old, key, li);
         }
@@ -536,26 +570,43 @@ impl Rails {
         self.index.last().map(|e| e.0)
     }
 
-    /// Pops the earliest rail head: the index's last entry.
+    /// Number of pending rail events, counted rail by rail.
+    fn len(&self) -> usize {
+        self.rails
+            .iter()
+            .map(|r| r.deliveries.len() + usize::from(r.departure != NO_KEY))
+            .sum()
+    }
+
+    /// Pops the earliest rail head: the index's last entry. The rail's
+    /// position names the link, for a departure and a delivery alike.
+    #[inline(always)]
     fn pop_min(&mut self) -> Popped {
         let (key, li) = self.index.pop().expect("rail head exists");
         let rail = &mut self.rails[li as usize];
+        let link = LinkId(li.wrapping_sub(1));
         let p = if key == rail.departure {
             rail.departure = NO_KEY;
             Popped {
                 at: SimTime((key >> 64) as u64),
                 seq: key as u64,
-                kind: PoppedKind::ChannelIdle {
-                    link: LinkId(li.wrapping_sub(1)),
-                },
+                kind: PoppedKind::ChannelIdle { link },
             }
         } else {
-            let r = rail.deliveries.pop_front().expect("indexed rail head");
-            Popped {
+            // Copied out of `front`: `pop_front`'s `Option` would test
+            // the niche in the packet's header byte.
+            let r = rail.deliveries.front().expect("indexed rail head");
+            let p = Popped {
                 at: r.at,
                 seq: r.seq,
-                kind: PoppedKind::Deliver(r.d),
-            }
+                kind: PoppedKind::Deliver(Delivery {
+                    via: link,
+                    epoch: r.epoch,
+                    pkt: r.pkt,
+                }),
+            };
+            rail.deliveries.pop_front();
+            p
         };
         let head = rail.head_key();
         if head != NO_KEY {
@@ -589,7 +640,6 @@ pub struct EventQueue {
     /// `(t, 0)` sorts before every event at `t`: the simulator uses it
     /// as the key of agent start-up, which precedes every event.
     next_seq: u64,
-    len: usize,
     wheel: Wheel,
     rails: Rails,
 }
@@ -605,7 +655,6 @@ impl EventQueue {
     pub fn new() -> Self {
         Self {
             next_seq: 1,
-            len: 0,
             wheel: Wheel::new(),
             rails: Rails::default(),
         }
@@ -622,7 +671,6 @@ impl EventQueue {
     }
 
     fn push_wheel(&mut self, at: SimTime, seq: u64, kind: WheelKind) {
-        self.len += 1;
         self.wheel.push(Event { at, seq, kind });
     }
 
@@ -660,33 +708,20 @@ impl EventQueue {
     /// Panics if `link` already has a departure pending.
     pub fn schedule_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
         debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
-        self.len += 1;
         self.rails.push_departure(at, seq, link);
     }
 
-    /// Schedules a packet delivery — the per-packet hot path. The
-    /// delivery rides its link's rail with the payload inline; host-local
-    /// sends ride the loopback rail.
+    /// Schedules the arrival of `pkt` over `via` at `at` — the
+    /// per-packet hot path. The delivery rides `via`'s rail as `(at, seq,
+    /// epoch, pkt)`; host-local sends ([`LinkId::NONE`]) ride the
+    /// loopback rail. The receiving node is implied by the rail (see
+    /// [`Delivery`]).
     ///
     /// # Panics
     /// Panics if `at` is earlier than the last delivery pending on `via`.
-    pub fn schedule_delivery(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        via: LinkId,
-        epoch: u32,
-        pkt: Packet,
-    ) {
+    pub fn schedule_delivery(&mut self, at: SimTime, via: LinkId, epoch: u32, pkt: Packet) {
         let seq = self.reserve_seq();
-        self.len += 1;
-        let d = Delivery {
-            node,
-            via,
-            epoch,
-            pkt,
-        };
-        self.rails.push_delivery(at, seq, d);
+        self.rails.push_delivery(at, seq, via, epoch, pkt);
     }
 
     /// Removes and returns the earliest event — the dispatcher's pop (see
@@ -699,39 +734,41 @@ impl EventQueue {
     /// fires at or before `deadline`; later events stay queued.
     ///
     /// Peek and pop are fused: the run loop calls this once per event,
-    /// so the min-across-sources comparison happens exactly once.
+    /// so the min-across-sources comparison happens exactly once. It is
+    /// inlined into its caller, so the simulator's step reads a popped
+    /// delivery straight from its rail entry (see the module docs, *Event
+    /// size*).
+    #[inline(always)]
     pub fn pop_event_before(&mut self, deadline: SimTime) -> Option<Popped> {
         let (key, take_rail) = match (self.wheel.peek_key(), self.rails.peek_key()) {
             (Some(w), Some(r)) => (w.min(r), r < w),
             (None, Some(r)) => (r, true),
             (Some(w), None) => (w, false),
-            (None, None) => return None,
+            (None, None) => {
+                self.maybe_release();
+                return None;
+            }
         };
         if (key >> 64) as u64 > deadline.as_nanos() {
             return None;
         }
-        // Each source builds the `Popped`, so `(at, seq)` leaves as one
-        // 16-byte store (see the module docs, *Event size*).
-        let p = if take_rail {
+        Some(if take_rail {
             self.rails.pop_min()
         } else {
             self.wheel.pop().expect("wheel head exists")
-        };
-        self.len -= 1;
-        if self.len == 0 {
-            self.maybe_release();
-        }
-        Some(p)
+        })
     }
 
-    /// Number of pending events.
+    /// Number of pending events, counted on demand (the queue keeps no
+    /// counter; see the module docs, *Event size*): `O(rails)`.
     pub fn len(&self) -> usize {
-        self.len
+        self.wheel.len + self.rails.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending: the wheel and the rail index are
+    /// both empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.wheel.len == 0 && self.rails.index.is_empty()
     }
 
     /// Approximate retained capacity, in event-sized slots — the
@@ -745,12 +782,15 @@ impl EventQueue {
     }
 
     /// Releases oversized internal buffers (see module docs). Called
-    /// automatically whenever the queue drains; harmless mid-run.
+    /// automatically when a pop finds the queue drained; harmless
+    /// mid-run.
     pub fn shrink_to_fit(&mut self) {
         self.wheel.release();
         self.rails.release();
     }
 
+    #[cold]
+    #[inline(never)]
     fn maybe_release(&mut self) {
         if self.capacity() > 4 * KEEP_CAPACITY {
             self.shrink_to_fit();
@@ -781,6 +821,13 @@ mod tests {
             std::mem::size_of::<Event>() <= 40,
             "Event grew to {} bytes",
             std::mem::size_of::<Event>()
+        );
+        // A rail entry is its key, the link's epoch and the packet: the
+        // link and the receiving node are implied by the rail.
+        assert!(
+            std::mem::size_of::<RailDelivery>() <= 72,
+            "RailDelivery grew to {} bytes",
+            std::mem::size_of::<RailDelivery>()
         );
     }
 
@@ -873,6 +920,7 @@ mod tests {
     }
 
     fn pkt() -> Packet {
+        use crate::node::NodeId;
         use crate::packet::FlowId;
         Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100)
     }
@@ -890,18 +938,18 @@ mod tests {
     #[should_panic(expected = "out-of-order delivery")]
     fn out_of_order_delivery_on_a_link_panics() {
         let mut q = EventQueue::new();
-        q.schedule_delivery(SimTime(20), NodeId(1), LinkId(2), 0, pkt());
-        q.schedule_delivery(SimTime(10), NodeId(1), LinkId(2), 0, pkt());
+        q.schedule_delivery(SimTime(20), LinkId(2), 0, pkt());
+        q.schedule_delivery(SimTime(10), LinkId(2), 0, pkt());
     }
 
     #[test]
     fn departure_ahead_of_queued_deliveries_pops_first() {
         let mut q = EventQueue::new();
         let dep = q.reserve_seq();
-        q.schedule_delivery(SimTime(30), NodeId(1), LinkId(1), 0, pkt());
-        q.schedule_delivery(SimTime(50), NodeId(1), LinkId(1), 0, pkt());
-        q.schedule_delivery(SimTime(40), NodeId(1), LinkId(2), 0, pkt());
-        q.schedule_delivery(SimTime(20), NodeId(1), LinkId(3), 0, pkt());
+        q.schedule_delivery(SimTime(30), LinkId(1), 0, pkt());
+        q.schedule_delivery(SimTime(50), LinkId(1), 0, pkt());
+        q.schedule_delivery(SimTime(40), LinkId(2), 0, pkt());
+        q.schedule_delivery(SimTime(20), LinkId(3), 0, pkt());
         // Link 1's head moves from its delivery at 30 to a departure at 10.
         q.schedule_departure(SimTime(10), dep, LinkId(1));
         let order: Vec<(u64, LinkId)> = std::iter::from_fn(|| q.pop_event())

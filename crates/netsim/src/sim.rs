@@ -20,7 +20,7 @@
 //!   flow.
 //! * All ties are broken deterministically (see [`crate::event`]).
 
-use crate::event::{EventQueue, Popped, PoppedKind};
+use crate::event::{Delivery, EventQueue, Popped, PoppedKind};
 use crate::fault::{FaultAction, FaultPlan, LossModel, LossState};
 use crate::link::LinkId;
 use crate::node::{NodeId, NodeKind};
@@ -301,7 +301,6 @@ impl SimCore {
         let (done, arrival) = ch.serialize_spans(self.now, pkt.wire_bytes);
         ch.bytes_sent += u64::from(pkt.wire_bytes);
         ch.packets_sent += 1;
-        let to = ch.to;
         let epoch = ch.epoch;
         if let Some(trace) = self.traces[li].as_mut() {
             trace.record(done, pkt.flow, pkt.wire_bytes);
@@ -326,7 +325,7 @@ impl SimCore {
                 });
             }
         } else {
-            self.events.schedule_delivery(arrival, to, link, epoch, pkt);
+            self.events.schedule_delivery(arrival, link, epoch, pkt);
         }
     }
 
@@ -427,7 +426,25 @@ impl SimCore {
         }
     }
 
-    /// Routes a packet out of `node` toward its destination.
+    /// Counts `pkt` as cut on `link`'s wire: the link went down while
+    /// it was in flight.
+    #[cold]
+    fn cut_on_wire(&mut self, link: LinkId, pkt: &Packet) {
+        self.stats.dropped += 1;
+        self.topo.channels[link.index()].packets_dropped += 1;
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(&TelemetryEvent::Drop {
+                t_ns: self.now.as_nanos(),
+                link: link.index() as u32,
+                flow: pkt.flow.0,
+                reason: DropReason::LinkCut,
+            });
+        }
+    }
+
+    /// Routes a packet out of `node` toward its destination. Inlined into
+    /// the dispatcher like [`Simulator::with_agent`], for the same reason.
+    #[inline(always)]
     fn forward(&mut self, node: NodeId, pkt: Packet) {
         match self.topo.next_hop(node, pkt.dst) {
             Some(link) => self.enqueue_on(link, pkt),
@@ -469,15 +486,13 @@ impl AgentCtx<'_> {
     }
 
     /// Sends a packet into the network from this agent's host. Packets to
-    /// the host itself are delivered (via the event queue) without
-    /// touching any link.
+    /// the host itself are delivered (via the event queue's loopback
+    /// rail, at the current instant) without touching any link.
     pub fn send(&mut self, pkt: Packet) {
         let host = self.node();
         if pkt.dst == host {
             let at = self.core.now;
-            self.core
-                .events
-                .schedule_delivery(at, host, LinkId::NONE, 0, pkt);
+            self.core.events.schedule_delivery(at, LinkId::NONE, 0, pkt);
             return;
         }
         self.core.forward(host, pkt);
@@ -763,7 +778,10 @@ impl Simulator {
     }
 
     /// Temporarily removes an agent from its slot so it can borrow the
-    /// core mutably through an [`AgentCtx`].
+    /// core mutably through an [`AgentCtx`]. Inlined, so a delivered
+    /// packet goes from the dispatcher's registers to the handler's
+    /// argument without a copy through the closure in between.
+    #[inline(always)]
     fn with_agent<R>(
         &mut self,
         idx: usize,
@@ -782,60 +800,86 @@ impl Simulator {
         r
     }
 
-    /// Dispatches one already-popped event, timing it when the profiler
-    /// is enabled.
+    /// Processes a single event if it fires at or before `deadline`.
+    /// Returns `false` when the queue is empty or the next event is later
+    /// than the deadline.
+    ///
+    /// The pop and the dispatch are one inlined step: a popped delivery's
+    /// fields go from its rail entry to the handler without a [`Popped`]
+    /// stored and reloaded in between (see [`crate::event`], *Event
+    /// size*).
+    fn step(&mut self, deadline: SimTime) -> bool {
+        if self.profiler.is_some() {
+            return self.step_profiled(deadline);
+        }
+        match self.core.events.pop_event_before(deadline) {
+            Some(ev) => {
+                self.dispatch(ev);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// [`Simulator::step`] with wall-clock attribution: the pop to the
+    /// `sched` label, the dispatch to its event kind's. Only successful
+    /// pops are recorded, so `sched.events` matches the dispatched-event
+    /// count.
+    #[inline(never)]
+    fn step_profiled(&mut self, deadline: SimTime) -> bool {
+        let t0 = std::time::Instant::now();
+        let Some(ev) = self.core.events.pop_event_before(deadline) else {
+            return false;
+        };
+        let ns = t0.elapsed().as_nanos() as u64;
+        // Label indices match PROFILE_LABELS order.
+        let label = match ev.kind {
+            PoppedKind::ChannelIdle { .. } => 0,
+            PoppedKind::Deliver(_) => 1,
+            PoppedKind::Timer { .. } => 2,
+            PoppedKind::Message { .. } => 3,
+            PoppedKind::Fault { .. } => 4,
+        };
+        let t0 = std::time::Instant::now();
+        self.dispatch(ev);
+        let dispatch_ns = t0.elapsed().as_nanos() as u64;
+        if let Some(p) = self.profiler.as_mut() {
+            p.record(PROFILE_SCHED, ns);
+            p.record(label, dispatch_ns);
+        }
+        true
+    }
+
+    /// Dispatches one popped event at its `(time, seq)`.
+    #[inline(always)]
     fn dispatch(&mut self, ev: Popped) {
         debug_assert!(ev.at >= self.core.now, "time went backwards");
         self.core.now = ev.at;
         self.core.seq = ev.seq;
         self.core.stats.events += 1;
-        if self.profiler.is_some() {
-            // Label indices match PROFILE_LABELS order.
-            let label = match ev.kind {
-                PoppedKind::ChannelIdle { .. } => 0,
-                PoppedKind::Deliver(_) => 1,
-                PoppedKind::Timer { .. } => 2,
-                PoppedKind::Message { .. } => 3,
-                PoppedKind::Fault { .. } => 4,
-            };
-            let t0 = std::time::Instant::now();
-            self.dispatch_kind(ev.kind);
-            let ns = t0.elapsed().as_nanos() as u64;
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(label, ns);
-            }
-        } else {
-            self.dispatch_kind(ev.kind);
-        }
-    }
-
-    /// The dispatch body proper (separate so [`Simulator::dispatch`] can
-    /// wrap it with wall-clock attribution).
-    fn dispatch_kind(&mut self, kind: PoppedKind) {
-        match kind {
+        match ev.kind {
             PoppedKind::ChannelIdle { link } => {
                 self.core.topo.channels[link.index()].armed = false;
                 self.core.start_tx(link);
             }
-            PoppedKind::Deliver(dv) => {
-                // A stale epoch means the carrying link went down after
-                // serialization began: the packet was cut on the wire.
-                if dv.via != LinkId::NONE
-                    && self.core.topo.channels[dv.via.index()].epoch != dv.epoch
-                {
-                    self.core.stats.dropped += 1;
-                    self.core.topo.channels[dv.via.index()].packets_dropped += 1;
-                    if let Some(sink) = self.core.sink.as_mut() {
-                        sink.record(&TelemetryEvent::Drop {
-                            t_ns: self.core.now.as_nanos(),
-                            link: dv.via.index() as u32,
-                            flow: dv.pkt.flow.0,
-                            reason: DropReason::LinkCut,
-                        });
+            PoppedKind::Deliver(Delivery { via, epoch, pkt: p }) => {
+                // The rail names the carrying link, whose far end
+                // receives the packet; a host-local send is for
+                // `p.dst`, its own host, and never crossed a wire.
+                let node = if via == LinkId::NONE {
+                    p.dst
+                } else {
+                    let ch = &self.core.topo.channels[via.index()];
+                    if ch.epoch == epoch {
+                        ch.to
+                    } else {
+                        // A stale epoch means the carrying link went
+                        // down after serialization began: the packet
+                        // was cut on the wire.
+                        self.core.cut_on_wire(via, &p);
+                        return;
                     }
-                    return;
-                }
-                let (node, p) = (dv.node, dv.pkt);
+                };
                 match self.core.topo.nodes[node.index()].kind {
                     NodeKind::Switch => self.core.forward(node, p),
                     NodeKind::Host => match self.core.bound_agent(p.flow, node) {
@@ -873,39 +917,6 @@ impl Simulator {
             PoppedKind::Fault { index } => {
                 self.core.apply_fault(index as usize);
             }
-        }
-    }
-
-    /// Pops the next event if it fires at or before `deadline`,
-    /// attributing the pop's wall-clock to the `sched` profiler label
-    /// when profiling (only successful pops are recorded, so
-    /// `sched.events` matches the dispatched-event count).
-    fn profiled_pop(&mut self, deadline: SimTime) -> Option<Popped> {
-        if self.profiler.is_some() {
-            let t0 = std::time::Instant::now();
-            let ev = self.core.events.pop_event_before(deadline);
-            let ns = t0.elapsed().as_nanos() as u64;
-            if ev.is_some() {
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(PROFILE_SCHED, ns);
-                }
-            }
-            ev
-        } else {
-            self.core.events.pop_event_before(deadline)
-        }
-    }
-
-    /// Processes a single event if it fires at or before `deadline`.
-    /// Returns `false` when the queue is empty or the next event is later
-    /// than the deadline.
-    fn step(&mut self, deadline: SimTime) -> bool {
-        match self.profiled_pop(deadline) {
-            Some(ev) => {
-                self.dispatch(ev);
-                true
-            }
-            None => false,
         }
     }
 
@@ -1565,6 +1576,71 @@ mod tests {
         assert!(log.iter().all(|&(_, at)| at == t), "{log:?}");
         assert_eq!(sim.stats().delivered, 3);
         assert_eq!(sim.stats().dropped, 0);
+    }
+
+    #[test]
+    fn host_local_send_reaches_the_agent_bound_at_its_destination() {
+        /// Logs each packet it receives, with its source and time.
+        struct Inbox {
+            got: Vec<(NodeId, SimTime)>,
+        }
+        impl Agent for Inbox {
+            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
+                self.got.push((pkt.src, ctx.now()));
+            }
+        }
+        /// An inbox that, on its timer, sends one packet to its own host
+        /// with the far host as its source.
+        struct Loopback {
+            flow: FlowId,
+            src: NodeId,
+            inbox: Inbox,
+        }
+        impl Agent for Loopback {
+            fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+                ctx.set_timer(SimDuration::micros(100), 1);
+            }
+            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
+                self.inbox.on_packet(ctx, pkt);
+            }
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+                let me = ctx.node();
+                ctx.send(Packet::data(self.flow, self.src, me, 0, 1500));
+            }
+        }
+        let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
+        // Both ends bind the flow, so only the node the delivery resolves
+        // to decides which agent gets it: `pkt.dst`, not `pkt.src`.
+        let flow = FlowId(7);
+        let inbox = Inbox { got: vec![] };
+        let a = sim.add_agent(
+            h0,
+            Loopback {
+                flow,
+                src: h1,
+                inbox,
+            },
+        );
+        let b = sim.add_agent(h1, Inbox { got: vec![] });
+        sim.bind_flow(flow, a);
+        sim.bind_flow(flow, b);
+        // h0's two channels go down at the send instant: one just before
+        // the send pops, the other just after it, before the delivery.
+        let t = SimTime(100_000);
+        let down = |link| FaultPlan::new().at(t, FaultAction::LinkDown { link });
+        sim.install_faults(&down(LinkId(0)));
+        sim.run_until(SimTime(99_000));
+        sim.install_faults(&down(LinkId(1)));
+        sim.run();
+        assert_eq!(sim.agent::<Loopback>(a).inbox.got, [(h1, t)]);
+        assert!(sim.agent::<Inbox>(b).got.is_empty());
+        assert_eq!(sim.stats().delivered, 1);
+        assert_eq!(sim.stats().dropped, 0);
+        // The packet never crossed a channel: it rode the loopback rail.
+        for ch in &sim.topology().channels {
+            assert!(!ch.up, "{:?} should be down", ch.id);
+            assert_eq!((ch.packets_sent, ch.packets_dropped), (0, 0));
+        }
     }
 
     struct TimerAgent {

@@ -5,6 +5,9 @@
 //! timers inserted later under a reserved seq, and pops, both must pop
 //! the same `(time, seq, kind)` stream.
 //!
+//! The queue keeps no length counter, so after every op its derived
+//! `len()` and `is_empty()` must match the model's.
+//!
 //! The interleavings stay within the queue's contract, as the simulator
 //! does: each link's deliveries (the loopback rail's included) are
 //! scheduled at non-decreasing times, and a link has at most one
@@ -153,6 +156,17 @@ impl Both {
         popped
     }
 
+    /// Both hold the same number of pending events. The queue derives
+    /// both answers from its wheel and rails.
+    fn assert_same_len(&self) {
+        assert_eq!(self.q.len(), self.r.heap.len(), "pending counts diverged");
+        assert_eq!(
+            self.q.is_empty(),
+            self.r.heap.is_empty(),
+            "emptiness diverged"
+        );
+    }
+
     /// Counts an event onto `link`'s rail.
     fn fill(&mut self, link: LinkId) {
         let n = self.pending.entry(link).or_insert(usize::MAX);
@@ -232,9 +246,7 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> Both {
                         q.schedule_message(at, to, from, token)
                     }
                     PoppedKind::Fault { index } => q.schedule_fault(at, index),
-                    PoppedKind::Deliver(d) => {
-                        q.schedule_delivery(at, d.node, d.via, d.epoch, d.pkt)
-                    }
+                    PoppedKind::Deliver(d) => q.schedule_delivery(at, d.via, d.epoch, d.pkt),
                     PoppedKind::ChannelIdle { .. } => {
                         unreachable!("departures go under a reserved seq")
                     }
@@ -245,16 +257,18 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> Both {
             }
             Op::PopUntil(deadline) => while b.pop_before(deadline) {},
         }
+        b.assert_same_len();
     }
-    while b.pop_before(SimTime::MAX) {}
+    while b.pop_before(SimTime::MAX) {
+        b.assert_same_len();
+    }
+    b.assert_same_len();
     assert!(b.q.is_empty());
-    assert!(b.r.heap.is_empty());
     b
 }
 
 fn delivery(via: LinkId, seq: u64) -> PoppedKind {
     PoppedKind::Deliver(Delivery {
-        node: NodeId(1),
         via,
         epoch: 0,
         pkt: Packet::data(FlowId(1), NodeId(0), NodeId(1), seq, 100),
