@@ -19,12 +19,6 @@ use mltcp_workload::stats::JobReport;
 /// every job can actually hold its planned slot.
 pub const CASSINI_PACE_FACTOR: f64 = 1.16;
 
-/// The RTT hint used to size pFabric queues/windows at the default
-/// topology (3 hops × 2 µs each way).
-pub fn rtt_hint() -> SimDuration {
-    SimDuration::micros(12)
-}
-
 /// The Fig. 2 job mix (GPT-3 + 3×GPT-2) with 1% compute noise.
 pub fn fig2_jobs(scale: f64, iters: u32) -> Vec<JobSpec> {
     let rate = models::paper_bottleneck();
@@ -88,22 +82,17 @@ fn cassini_planned(jobs: Vec<JobSpec>) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Builds the *static*-Cassini scenario: the centralized optimizer picks
-/// communication offsets once, but — unlike [`cassini_scenario`] — no
-/// pacing enforces the plan afterwards. Jobs free-run from their planned
-/// offsets on plain Reno.
+/// The *static*-Cassini scenario as a builder, so callers can append link
+/// faults before `build()`: the centralized optimizer picks communication
+/// offsets once, but — unlike [`cassini_scenario`] — no pacing enforces
+/// the plan afterwards. Jobs free-run from their planned offsets on plain
+/// Reno.
 ///
 /// This is the honest "plan is not recomputed" baseline for fault
 /// experiments: a paced plan is phase-preserving (jobs re-align to their
 /// grid slots after any perturbation), whereas static offsets random-walk
 /// apart as soon as a fault — or accumulated compute noise — shifts one
 /// job's phase, exactly the failure mode that forces Cassini to replan.
-pub fn cassini_static_scenario(seed: u64, jobs: Vec<JobSpec>) -> Scenario {
-    cassini_static_builder(seed, jobs).build()
-}
-
-/// [`cassini_static_scenario`] as a builder, so callers can append link
-/// faults before `build()`.
 pub fn cassini_static_builder(seed: u64, jobs: Vec<JobSpec>) -> ScenarioBuilder {
     uniform_builder(seed, cassini_planned(jobs), CongestionSpec::Reno)
 }
@@ -121,12 +110,7 @@ pub fn uniform_builder(seed: u64, jobs: Vec<JobSpec>, cc: CongestionSpec) -> Sce
 /// Builds the pFabric scenario: strict-priority bottleneck, remaining-
 /// bytes tags, line-rate initial windows.
 pub fn pfabric_scenario(seed: u64, jobs: Vec<JobSpec>) -> Scenario {
-    let rate = models::paper_bottleneck();
-    let mut b = ScenarioBuilder::new(seed);
-    for j in jobs {
-        b = b.job(j, CongestionSpec::Reno);
-    }
-    apply_pfabric(b, rate, rtt_hint()).build()
+    apply_pfabric(uniform_builder(seed, jobs, CongestionSpec::Reno)).build()
 }
 
 /// A generous deadline for `iters` iterations of the slowest job in a

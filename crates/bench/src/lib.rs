@@ -286,12 +286,6 @@ pub fn results_dir() -> PathBuf {
     base
 }
 
-/// Prints a compact per-job report table for a finished scenario,
-/// normalized by each job's analytic ideal period.
-pub fn print_job_table(label: &str, sc: &Scenario) {
-    experiments::print_summary_table(label, &experiments::summarize_run(sc));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -254,11 +254,6 @@ impl AutoTuner {
     pub fn learned(&self) -> Option<TrackerConfig> {
         self.locked
     }
-
-    /// Number of complete bursts observed so far.
-    pub fn bursts_observed(&self) -> usize {
-        self.burst_sizes.len()
-    }
 }
 
 fn median_u64(xs: &[u64]) -> u64 {

@@ -91,11 +91,6 @@ impl LossState {
         Self { model, bad: false }
     }
 
-    /// Whether the Gilbert–Elliott chain is currently in the bad state.
-    pub fn in_bad_state(&self) -> bool {
-        self.bad
-    }
-
     /// Advances the process by one packet and decides whether it drops.
     pub fn drops_packet(&mut self, rng: &mut SimRng) -> bool {
         match self.model {

@@ -18,10 +18,10 @@
 //! * [`time`] — nanosecond-resolution simulated clock types.
 //! * [`event`] — the `(time, seq)`-ordered event queue.
 //! * [`packet`] — packets with a small transport header (data/ack), ECN
-//!   codepoints, and a scheduling priority tag (used by pFabric/PIAS).
+//!   codepoints, and a scheduling priority tag (used by pFabric).
 //! * [`queue`] — egress queue disciplines: drop-tail, ECN-marking
-//!   drop-tail (DCTCP-style), strict priority with lowest-priority drop
-//!   (pFabric-style), and multi-level feedback (PIAS-style).
+//!   drop-tail (DCTCP-style), and strict priority with lowest-priority
+//!   drop (pFabric-style).
 //! * [`link`] — directed channels with rate, propagation delay, optional
 //!   Bernoulli loss, and byte counters.
 //! * [`fault`] — deterministic fault injection: scheduled link down/up,

@@ -4,8 +4,7 @@
 //! carries a small structured header instead of raw bytes: a data segment
 //! (byte-offset sequence number + payload length) or a cumulative ack
 //! (with ECN echo, as DCTCP needs). A `priority` tag rides along for the
-//! pFabric (remaining bytes) and PIAS (MLFQ level) baselines; FIFO
-//! disciplines ignore it.
+//! pFabric baseline (remaining bytes); FIFO disciplines ignore it.
 
 use crate::node::NodeId;
 
@@ -15,10 +14,6 @@ pub struct FlowId(pub u64);
 
 /// Wire overhead we charge per packet (IPv4 + TCP headers, no options).
 pub const HEADER_BYTES: u32 = 40;
-
-/// Default maximum payload per data packet, matching Algorithm 1's
-/// `MTU = 1500`.
-pub const DEFAULT_MSS: u32 = 1500;
 
 /// ECN codepoint subset the simulator models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,8 +82,7 @@ pub struct Packet {
     /// ECN state.
     pub ecn: EcnCodepoint,
     /// Scheduling priority tag; *lower is more urgent*. pFabric sets this
-    /// to the flow's remaining bytes, PIAS to the MLFQ level. FIFO queues
-    /// ignore it.
+    /// to the flow's remaining bytes. FIFO queues ignore it.
     pub priority: u64,
 }
 

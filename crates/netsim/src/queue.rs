@@ -1,6 +1,6 @@
 //! Egress queue disciplines.
 //!
-//! Each directed channel owns one queue. Four disciplines cover every
+//! Each directed channel owns one queue. Three disciplines cover every
 //! system in the paper:
 //!
 //! * [`QueueKind::DropTail`] — plain FIFO with a byte cap: the commodity
@@ -12,9 +12,6 @@
 //!   priority tag first and, when full, evicts the numerically *highest*
 //!   (least urgent) packet — pFabric's switch behaviour with
 //!   `priority = remaining flow bytes`.
-//! * [`QueueKind::Mlfq`] — the same strict-priority service, but intended
-//!   for PIAS where senders tag packets with a small MLFQ level derived
-//!   from bytes already sent.
 //!
 //! All disciplines preserve FIFO order among equal-priority packets and
 //! account capacity in bytes.
@@ -46,12 +43,6 @@ pub enum QueueKind {
         /// Maximum queued bytes.
         cap_bytes: u64,
     },
-    /// PIAS-style multi-level feedback queue; identical service/drop rules
-    /// to [`QueueKind::StrictPriority`] (levels are just small priorities).
-    Mlfq {
-        /// Maximum queued bytes.
-        cap_bytes: u64,
-    },
 }
 
 impl QueueKind {
@@ -69,7 +60,7 @@ impl QueueKind {
                 cap_bytes,
                 mark_threshold_bytes,
             } => LinkQueue::Fifo(FifoQueue::new(cap_bytes, Some(mark_threshold_bytes))),
-            QueueKind::StrictPriority { cap_bytes } | QueueKind::Mlfq { cap_bytes } => {
+            QueueKind::StrictPriority { cap_bytes } => {
                 LinkQueue::Priority(PriorityQueue::new(cap_bytes))
             }
         }
@@ -84,7 +75,7 @@ impl QueueKind {
 pub enum LinkQueue {
     /// FIFO (plain or ECN-marking).
     Fifo(FifoQueue),
-    /// pFabric/PIAS strict priority.
+    /// pFabric strict priority.
     Priority(PriorityQueue),
 }
 

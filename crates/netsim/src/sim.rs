@@ -764,15 +764,10 @@ impl Simulator {
         }
         self.started = true;
         for i in 0..self.agents.len() {
-            if self.profiler.is_some() {
-                let t0 = std::time::Instant::now();
-                self.with_agent(i, |agent, ctx| agent.start(ctx));
-                let ns = t0.elapsed().as_nanos() as u64;
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(PROFILE_AGENT_START, ns);
-                }
-            } else {
-                self.with_agent(i, |agent, ctx| agent.start(ctx));
+            let t0 = self.profiler.is_some().then(std::time::Instant::now);
+            self.with_agent(i, |agent, ctx| agent.start(ctx));
+            if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
+                p.record(PROFILE_AGENT_START, t0.elapsed().as_nanos() as u64);
             }
         }
     }

@@ -72,12 +72,6 @@ impl BandwidthTrace {
         self.bin
     }
 
-    /// The bin width (alias of [`BandwidthTrace::bin`], paired with
-    /// [`BandwidthTrace::bins`] for offline tooling).
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin
-    }
-
     /// Number of bins in the aggregate series.
     pub fn bins(&self) -> usize {
         self.total.len()
@@ -183,7 +177,7 @@ mod tests {
         assert_eq!(t.bins(), 4);
         assert_eq!(t.saturated_records(), 2);
         assert_eq!(t.flow_bytes(FlowId(1)), 600);
-        assert_eq!(t.bin_width(), SimDuration::millis(10));
+        assert_eq!(t.bin(), SimDuration::millis(10));
     }
 
     #[test]

@@ -212,11 +212,6 @@ pub fn driver_offsets(
         .collect()
 }
 
-/// The hyperperiod the optimizer reasons over (re-exported convenience).
-pub fn planning_horizon(jobs: &[PeriodicJob]) -> f64 {
-    hyperperiod(jobs, 1e-6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

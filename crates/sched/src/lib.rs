@@ -12,8 +12,6 @@
 //! * [`pfabric`] — the pFabric (SIGCOMM '13) design point: switches do
 //!   shortest-remaining-size-first with priority queues + lowest-priority
 //!   drop; senders run a minimal, aggressive transport.
-//! * [`pias`] — PIAS (NSDI '15): information-agnostic MLFQ, demoting a
-//!   flow's priority as it sends more bytes.
 //! * [`multires`] — the paper's §5 sketch: the aggressiveness function
 //!   generalized to CPU-core scheduling via job *progress*.
 
@@ -23,6 +21,5 @@
 pub mod cassini;
 pub mod multires;
 pub mod pfabric;
-pub mod pias;
 
 pub use cassini::{optimize_offsets, InterleavedSchedule};

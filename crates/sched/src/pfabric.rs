@@ -13,29 +13,22 @@
 //! strict-priority bottleneck queue + `PriorityPolicy::RemainingBytes`
 //! senders + a BDP-sized fixed initial window.
 
-use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::queue::QueueKind;
-use mltcp_netsim::time::SimDuration;
-use mltcp_transport::sender::PriorityPolicy;
-use mltcp_workload::scenario::ScenarioBuilder;
+use mltcp_transport::sender::{PriorityPolicy, MSS};
+use mltcp_workload::models;
+use mltcp_workload::scenario::{ScenarioBuilder, BASE_RTT};
 
 /// pFabric's recommended small switch buffer, expressed in BDPs of the
 /// bottleneck (the paper uses ~2×BDP per port).
 pub const PFABRIC_BUFFER_BDPS: u64 = 2;
 
-/// Applies the pFabric configuration to a scenario builder.
-///
-/// `rtt_hint` should be the expected base RTT (used to size the priority
-/// queue and the line-rate initial window).
-pub fn apply_pfabric(
-    builder: ScenarioBuilder,
-    bottleneck: Bandwidth,
-    rtt_hint: SimDuration,
-) -> ScenarioBuilder {
-    let bdp_bytes = bottleneck.bdp_bytes(rtt_hint).max(30_000);
-    let bdp_pkts = (bdp_bytes as f64 / 1500.0).ceil();
+/// Applies the pFabric configuration to a scenario builder. The priority
+/// queue and the line-rate initial window are sized from the bandwidth-
+/// delay product of the paper's bottleneck over the dumbbell's base RTT.
+pub fn apply_pfabric(builder: ScenarioBuilder) -> ScenarioBuilder {
+    let bdp_bytes = models::paper_bottleneck().bdp_bytes(BASE_RTT);
+    let bdp_pkts = (bdp_bytes as f64 / f64::from(MSS)).ceil();
     builder
-        .bottleneck(bottleneck)
         .bottleneck_queue(QueueKind::StrictPriority {
             cap_bytes: bdp_bytes * PFABRIC_BUFFER_BDPS,
         })
@@ -47,8 +40,7 @@ pub fn apply_pfabric(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mltcp_netsim::time::SimTime;
-    use mltcp_workload::models;
+    use mltcp_netsim::time::{SimDuration, SimTime};
     use mltcp_workload::scenario::CongestionSpec;
 
     /// Two jobs, one big transfer and one small, synchronized comm: SRPT
@@ -59,14 +51,12 @@ mod tests {
         use mltcp_workload::job::JobSpec;
         // A big single-burst transfer (4 ms of link time) vs a small one
         // (1 ms), synchronized starts each iteration.
-        let rate = models::paper_bottleneck();
         let big = JobSpec::new("big", SimDuration::millis(4), 25_000_000, 4);
         let small = JobSpec::new("small", SimDuration::millis(4), 6_250_000, 4);
-        let rtt = SimDuration::micros(12);
         let b = ScenarioBuilder::new(11)
             .job(big, CongestionSpec::Reno)
             .job(small, CongestionSpec::Reno);
-        let mut sc = apply_pfabric(b, rate, rtt).build();
+        let mut sc = apply_pfabric(b).build();
         sc.run(SimTime::from_secs_f64(10.0));
         assert!(sc.all_finished());
         let small_ideal = sc.ideal_period(1).as_secs_f64();

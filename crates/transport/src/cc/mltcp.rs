@@ -36,6 +36,13 @@ use mltcp_core::aggressiveness::Aggressiveness;
 use mltcp_core::tracker::{AutoTuner, IterationTracker, TrackerConfig};
 use mltcp_netsim::time::{SimDuration, SimTime};
 
+/// Minimum silence treated as a compute phase while auto-tuning
+/// (several RTTs).
+const AUTOTUNE_MIN_GAP: SimDuration = SimDuration::millis(1);
+
+/// Complete iterations to observe before locking in learned values.
+const AUTOTUNE_WARMUP: usize = 3;
+
 /// Configuration of the MLTCP augmentation.
 #[derive(Debug, Clone)]
 pub struct MltcpConfig {
@@ -43,14 +50,6 @@ pub struct MltcpConfig {
     pub total_bytes: Option<u64>,
     /// `COMP_TIME` ack-gap threshold, if known a priori.
     pub comp_time: Option<SimDuration>,
-    /// Minimum silence treated as a compute phase while auto-tuning
-    /// (several RTTs).
-    pub autotune_min_gap: SimDuration,
-    /// Complete iterations to observe before locking in learned values.
-    pub autotune_warmup: usize,
-    /// Whether to scale slow-start growth too. The paper hooks only the
-    /// congestion-avoidance step; default `false`.
-    pub scale_slow_start: bool,
     /// Multi-burst gate: when `Some(frac)`, a long ack gap only counts as
     /// an iteration boundary after `frac × TOTAL_BYTES` was delivered
     /// (see [`mltcp_core::tracker::TrackerConfig::oracle_multiburst`]).
@@ -74,9 +73,6 @@ impl MltcpConfig {
         Self {
             total_bytes: None,
             comp_time: None,
-            autotune_min_gap: SimDuration::millis(1),
-            autotune_warmup: 3,
-            scale_slow_start: false,
             multiburst_frac: None,
         }
     }
@@ -94,10 +90,9 @@ pub struct Mltcp<C: CongestionControl> {
     f: Box<dyn Aggressiveness + Send>,
     mode: Mode,
     last_ratio: f64,
-    /// The most recently applied gain (1.0 while learning or in
-    /// unscaled slow start), reported via `gain_state`.
+    /// The most recently applied gain (1.0 while learning or in slow
+    /// start), reported via `gain_state`.
     last_gain: f64,
-    scale_slow_start: bool,
 }
 
 impl<C: CongestionControl> std::fmt::Debug for Mltcp<C> {
@@ -122,10 +117,7 @@ impl<C: CongestionControl> Mltcp<C> {
                 };
                 Mode::Tracking(IterationTracker::new(tc))
             }
-            _ => Mode::Learning(AutoTuner::new(
-                config.autotune_min_gap.as_nanos(),
-                config.autotune_warmup,
-            )),
+            _ => Mode::Learning(AutoTuner::new(AUTOTUNE_MIN_GAP.as_nanos(), AUTOTUNE_WARMUP)),
         };
         Self {
             inner,
@@ -133,7 +125,6 @@ impl<C: CongestionControl> Mltcp<C> {
             mode,
             last_ratio: 0.0,
             last_gain: 1.0,
-            scale_slow_start: config.scale_slow_start,
         }
     }
 
@@ -191,8 +182,9 @@ impl<C: CongestionControl> CongestionControl for Mltcp<C> {
         };
         self.last_ratio = ratio;
 
-        let in_slow_start = w.in_slow_start();
-        let gain = if in_slow_start && !self.scale_slow_start {
+        // The paper hooks only the congestion-avoidance step, so slow
+        // start grows at the base algorithm's rate.
+        let gain = if w.in_slow_start() {
             1.0
         } else {
             self.f.eval(ratio)

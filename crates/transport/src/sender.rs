@@ -20,20 +20,17 @@ use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_telemetry::{RetxKind, TelemetryEvent};
 use std::collections::VecDeque;
 
+/// Maximum segment (payload) size; the paper's Algorithm 1 assumes 1500.
+pub const MSS: u32 = 1500;
+
 /// How data packets are priority-tagged (for schedulers that use tags).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityPolicy {
     /// No tagging (FIFO bottlenecks ignore priorities anyway).
     None,
     /// pFabric: tag = remaining bytes of the current transfer; switches
     /// then serve shortest-remaining-first.
     RemainingBytes,
-    /// PIAS: tag = MLFQ level, demoted as the transfer's sent bytes cross
-    /// each threshold.
-    Pias {
-        /// Ascending byte thresholds separating levels 0..=n.
-        thresholds: Vec<u64>,
-    },
 }
 
 /// Static sender parameters.
@@ -43,9 +40,6 @@ pub struct SenderConfig {
     pub flow: FlowId,
     /// Destination host.
     pub dst: NodeId,
-    /// Maximum segment (payload) size; the paper's Algorithm 1 assumes
-    /// 1500.
-    pub mss: u32,
     /// Initial congestion window in packets (Linux default: 10).
     pub initial_cwnd: f64,
     /// Driver agent to notify on transfer completion.
@@ -55,8 +49,9 @@ pub struct SenderConfig {
     /// Mark data packets ECN-capable (required for DCTCP).
     pub ecn: bool,
     /// Reset to `initial_cwnd` + slow start at every transfer start
-    /// (Linux's slow-start-after-idle). Default off: the paper's
-    /// long-lived job flows keep their window across iterations.
+    /// (Linux's slow-start-after-idle). Off for a bare
+    /// [`SenderConfig::new`], so the flow keeps its window across
+    /// transfers; every `ScenarioBuilder` scenario turns it on.
     pub slow_start_restart: bool,
     /// RTO floor. Scale this with the experiment's time scale: the
     /// default 1 ms suits second-scale iterations; millisecond-scale
@@ -82,7 +77,6 @@ impl SenderConfig {
         Self {
             flow,
             dst,
-            mss: 1500,
             initial_cwnd: 10.0,
             driver: None,
             priority: PriorityPolicy::None,
@@ -137,7 +131,7 @@ pub struct TcpSender {
     snd_una: u64,
     /// Next byte to transmit.
     snd_nxt: u64,
-    /// Start offset of the current transfer (for PIAS level computation).
+    /// Start offset of the current transfer (for the completion byte count).
     transfer_start: u64,
     /// Pending completion boundaries (stream offsets), FIFO.
     pending_ends: VecDeque<u64>,
@@ -249,23 +243,19 @@ impl TcpSender {
     }
 
     fn inflight_packets(&self) -> f64 {
-        ((self.snd_nxt - self.snd_una) as f64) / f64::from(self.cfg.mss)
+        ((self.snd_nxt - self.snd_una) as f64) / f64::from(MSS)
     }
 
-    fn priority_for(&self, seq: u64) -> u64 {
-        match &self.cfg.priority {
+    fn priority_for(&self) -> u64 {
+        match self.cfg.priority {
             PriorityPolicy::None => 0,
             PriorityPolicy::RemainingBytes => self.stream_end.saturating_sub(self.snd_una),
-            PriorityPolicy::Pias { thresholds } => {
-                let sent = seq.saturating_sub(self.transfer_start);
-                thresholds.iter().filter(|&&t| sent >= t).count() as u64
-            }
         }
     }
 
     fn make_segment(&self, me: NodeId, seq: u64, len: u32) -> Packet {
         let mut pkt = Packet::data(self.cfg.flow, me, self.cfg.dst, seq, len)
-            .with_priority(self.priority_for(seq));
+            .with_priority(self.priority_for());
         if self.cfg.ecn {
             pkt = pkt.with_ecn(EcnCodepoint::Capable);
         }
@@ -318,7 +308,7 @@ impl TcpSender {
             if self.inflight_packets() + 1.0 > cwnd_pkts + 1e-9 {
                 break;
             }
-            let len = u32::try_from((self.stream_end - self.snd_nxt).min(u64::from(self.cfg.mss)))
+            let len = u32::try_from((self.stream_end - self.snd_nxt).min(u64::from(MSS)))
                 .expect("segment fits u32");
             let pkt = self.make_segment(me, self.snd_nxt, len);
             let is_resend = self.snd_nxt < self.resend_below;
@@ -417,7 +407,7 @@ impl TcpSender {
         let ev = AckEvent {
             now: ctx.now(),
             newly_acked_bytes: newly,
-            newly_acked_packets: newly as f64 / f64::from(self.cfg.mss),
+            newly_acked_packets: newly as f64 / f64::from(MSS),
             ecn_echo,
             in_recovery: self.in_recovery,
             after_timeout,

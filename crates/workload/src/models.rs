@@ -67,29 +67,6 @@ pub fn gpt2(rate: Bandwidth, scale: f64, iterations: u32) -> JobSpec {
     )
 }
 
-/// A BERT-large-like fine-tuning profile: shorter iterations, moderate
-/// communication (`T = 0.6·scale` s, `a = 1/4`). Not from the paper's
-/// figures; used by the repository's extension experiments.
-pub fn bert(rate: Bandwidth, scale: f64, iterations: u32) -> JobSpec {
-    JobSpec::new(
-        "BERT",
-        scaled(0.45, scale),
-        scaled_bytes(0.15, scale, rate),
-        iterations,
-    )
-}
-
-/// A VGG-like vision job: communication-heavy (`T = 0.9·scale` s,
-/// `a = 1/3`). Extension experiments only.
-pub fn vgg(rate: Bandwidth, scale: f64, iterations: u32) -> JobSpec {
-    JobSpec::new(
-        "VGG",
-        scaled(0.6, scale),
-        scaled_bytes(0.3, scale, rate),
-        iterations,
-    )
-}
-
 /// The Fig. 2 four-job mix: one GPT-3 + three GPT-2, all starting their
 /// first communication phase simultaneously (the paper's "for simplicity"
 /// scenario).

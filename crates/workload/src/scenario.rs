@@ -9,6 +9,7 @@
 
 use crate::driver::JobDriver;
 use crate::job::JobSpec;
+use crate::models;
 use crate::stats::{IterationStats, JobReport};
 use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction, Linear};
 use mltcp_core::params::MltcpParams;
@@ -40,8 +41,6 @@ pub enum FnSpec {
         /// Intercept.
         intercept: f64,
     },
-    /// A constant gain (1.0 degenerates to the base algorithm).
-    Constant(f64),
 }
 
 impl Aggressiveness for FnSpec {
@@ -52,7 +51,6 @@ impl Aggressiveness for FnSpec {
             FnSpec::Linear { slope, intercept } => MltcpParams::new(*slope, *intercept)
                 .map(|p| Linear::new(p).eval(bytes_ratio))
                 .unwrap_or(1.0),
-            FnSpec::Constant(c) => *c,
         }
     }
 
@@ -61,7 +59,6 @@ impl Aggressiveness for FnSpec {
             FnSpec::Paper => "F1: 1.75r + 0.25 (paper)",
             FnSpec::Figure(f) => f.name(),
             FnSpec::Linear { .. } => "linear (custom)",
-            FnSpec::Constant(_) => "constant",
         }
     }
 }
@@ -172,67 +169,52 @@ pub struct JobHandle {
     pub spec: JobSpec,
 }
 
+/// Edge (host↔switch) link rate: twice the bottleneck, so only the
+/// bottleneck queues.
+const EDGE_RATE: Bandwidth = Bandwidth::gbps(100);
+
+/// Propagation delay of each of the dumbbell's three hops.
+const HOP_DELAY: SimDuration = SimDuration::micros(2);
+
+/// The dumbbell's base round-trip time: three hops each way.
+pub const BASE_RTT: SimDuration = SimDuration(HOP_DELAY.0 * 6);
+
+/// RTO floor of every sender: the larger of 20 hop delays and 50 µs.
+const MIN_RTO: SimDuration = SimDuration::micros(50);
+
 /// Builder for a dumbbell experiment.
 #[derive(Debug)]
 pub struct ScenarioBuilder {
-    bottleneck: Bandwidth,
-    edge: Bandwidth,
-    hop_delay: SimDuration,
     bottleneck_queue: Option<QueueKind>,
     seed: u64,
     jobs: Vec<(JobSpec, CongestionSpec)>,
     priority: PriorityPolicy,
-    min_rto: Option<SimDuration>,
     max_rto: Option<SimDuration>,
     /// Oracle COMP_TIME = this fraction of the job's compute phase.
     comp_threshold_frac: f64,
     /// Use autotune (learned TOTAL_BYTES/COMP_TIME) instead of oracle.
     autotune: bool,
     trace_bin: Option<SimDuration>,
-    slow_start_restart: bool,
     initial_cwnd: f64,
     faults: Vec<LinkFault>,
 }
 
 impl ScenarioBuilder {
-    /// A 50 Gbps-bottleneck dumbbell (the paper's testbed link rate) with
-    /// 2 µs/hop delay and 100 Gbps edges.
+    /// A dumbbell with the paper's 50 Gbps bottleneck
+    /// ([`models::paper_bottleneck`]), 100 Gbps edges and 2 µs per hop.
     pub fn new(seed: u64) -> Self {
         Self {
-            bottleneck: Bandwidth::gbps(50),
-            edge: Bandwidth::gbps(100),
-            hop_delay: SimDuration::micros(2),
             bottleneck_queue: None,
             seed,
             jobs: Vec::new(),
             priority: PriorityPolicy::None,
-            min_rto: None,
             max_rto: None,
             comp_threshold_frac: 0.25,
             autotune: false,
             trace_bin: None,
-            slow_start_restart: true,
             initial_cwnd: 10.0,
             faults: Vec::new(),
         }
-    }
-
-    /// Overrides the bottleneck rate.
-    pub fn bottleneck(mut self, rate: Bandwidth) -> Self {
-        self.bottleneck = rate;
-        self
-    }
-
-    /// Overrides the edge (host↔switch) rate.
-    pub fn edge(mut self, rate: Bandwidth) -> Self {
-        self.edge = rate;
-        self
-    }
-
-    /// Overrides the per-hop propagation delay.
-    pub fn hop_delay(mut self, d: SimDuration) -> Self {
-        self.hop_delay = d;
-        self
     }
 
     /// Overrides the bottleneck queue discipline (default: drop-tail with
@@ -242,16 +224,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Applies a priority-tagging policy to *all* senders (pFabric/PIAS
+    /// Applies a priority-tagging policy to *all* senders (pFabric
     /// scenarios; pair with a [`QueueKind::StrictPriority`] bottleneck).
     pub fn priority_policy(mut self, p: PriorityPolicy) -> Self {
         self.priority = p;
-        self
-    }
-
-    /// Overrides the RTO floor (default: `max(20 × hop_delay, 50 µs)`).
-    pub fn min_rto(mut self, d: SimDuration) -> Self {
-        self.min_rto = Some(d);
         self
     }
 
@@ -283,18 +259,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables/disables slow-start-after-idle on all senders.
-    ///
-    /// Default **on**, matching Linux (`tcp_slow_start_after_idle = 1`):
-    /// a sender that idled through a compute phase re-enters slow start
-    /// instead of blasting its stale window into the bottleneck. This is
-    /// also the regime in which MLTCP's ack-clocked differentiation acts
-    /// cleanly (a stale-window burst is indiscriminate).
-    pub fn slow_start_restart(mut self, on: bool) -> Self {
-        self.slow_start_restart = on;
-        self
-    }
-
     /// Overrides the initial congestion window in packets (default 10).
     /// pFabric-style minimal transports start near the path BDP instead.
     pub fn initial_cwnd(mut self, pkts: f64) -> Self {
@@ -320,15 +284,15 @@ impl ScenarioBuilder {
     pub fn build(self) -> Scenario {
         assert!(!self.jobs.is_empty(), "scenario needs at least one job");
         let total_flows: usize = self.jobs.iter().map(|(j, _)| j.flows).sum();
-        let rtt_floor = SimDuration(self.hop_delay.as_nanos() * 6);
+        let bottleneck = models::paper_bottleneck();
         let default_queue = QueueKind::DropTail {
-            cap_bytes: (self.bottleneck.bdp_bytes(rtt_floor) * 2).max(150_000),
+            cap_bytes: bottleneck.bdp_bytes(BASE_RTT) * 2,
         };
         let (topo, dumbbell) = build_dumbbell(DumbbellSpec {
             pairs: total_flows,
-            bottleneck_rate: self.bottleneck,
-            edge_rate: self.edge,
-            hop_delay: self.hop_delay,
+            bottleneck_rate: bottleneck,
+            edge_rate: EDGE_RATE,
+            hop_delay: HOP_DELAY,
             bottleneck_queue: self.bottleneck_queue.unwrap_or(default_queue),
             edge_queue: QueueKind::DropTail {
                 cap_bytes: 4_000_000,
@@ -359,10 +323,6 @@ impl ScenarioBuilder {
             }
             sim.install_faults(&plan);
         }
-        let min_rto = self
-            .min_rto
-            .unwrap_or(SimDuration((self.hop_delay.as_nanos() * 20).max(50_000)));
-
         let mut handles = Vec::new();
         let mut pair_idx = 0usize;
         let mut next_flow = 1u64;
@@ -401,13 +361,19 @@ impl ScenarioBuilder {
                 let mut cfg = SenderConfig::new(flow, dst);
                 cfg.driver = Some(driver);
                 cfg.job = job_idx as u32;
-                cfg.priority = self.priority.clone();
+                cfg.priority = self.priority;
                 cfg.ecn = cc_spec.needs_ecn();
-                cfg.min_rto = min_rto;
+                cfg.min_rto = MIN_RTO;
                 if let Some(m) = self.max_rto {
-                    cfg.max_rto = m.max(min_rto);
+                    cfg.max_rto = m.max(MIN_RTO);
                 }
-                cfg.slow_start_restart = self.slow_start_restart;
+                // Slow start after idle, as Linux's default
+                // `tcp_slow_start_after_idle = 1`: a sender that idled
+                // through a compute phase re-enters slow start instead of
+                // blasting its stale window into the bottleneck. That is
+                // the regime in which MLTCP's ack-clocked differentiation
+                // acts cleanly; a stale-window burst hits every flow alike.
+                cfg.slow_start_restart = true;
                 cfg.initial_cwnd = self.initial_cwnd;
                 let sender = sim.add_agent(src, TcpSender::new_boxed(cfg, cc_spec.build(oracle)));
                 let receiver = sim.add_agent(dst, TcpReceiver::new(flow));
@@ -430,7 +396,7 @@ impl ScenarioBuilder {
             sim,
             jobs: handles,
             dumbbell,
-            bottleneck: self.bottleneck,
+            bottleneck,
         }
     }
 }
@@ -538,7 +504,6 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models;
 
     #[test]
     fn fnspec_dispatch_matches_components() {
@@ -555,7 +520,6 @@ mod tests {
             .eval(0.5),
             1.0
         );
-        assert_eq!(FnSpec::Constant(2.0).eval(0.9), 2.0);
         // Invalid custom params degrade to gain 1 rather than panicking.
         assert_eq!(
             FnSpec::Linear {

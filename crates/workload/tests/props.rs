@@ -5,11 +5,13 @@ use mltcp_netsim::fault::GilbertElliott;
 use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::queue::QueueKind;
 use mltcp_netsim::time::{SimDuration, SimTime};
+use mltcp_telemetry::{TelemetryEvent, TelemetrySink};
 use mltcp_transport::sender::TcpSender;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault, ScenarioBuilder};
 use mltcp_workload::stats::{speedup_at, IterationStats};
 use mltcp_workload::JobSpec;
 use proptest::prelude::*;
+use std::any::Any;
 
 proptest! {
     /// Percentiles are order statistics: bounded by min/max, monotone in p.
@@ -124,6 +126,27 @@ fn fault(kind: u32, at_frac: f64, len_us: u64, iteration: SimDuration) -> Option
     }
 }
 
+/// Keeps the largest backlog that a `QueueDepth` sample reports on one
+/// link.
+struct MaxBacklog {
+    link: u32,
+    max_bytes: u64,
+}
+
+impl TelemetrySink for MaxBacklog {
+    fn record(&mut self, ev: &TelemetryEvent) {
+        if let TelemetryEvent::QueueDepth { link, bytes, .. } = *ev {
+            if link == self.link {
+                self.max_bytes = self.max_bytes.max(bytes);
+            }
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -132,7 +155,8 @@ proptest! {
     /// runs to completion and records exactly `iterations` records per
     /// job, with strictly increasing iteration timestamps. Every sender
     /// ends idle, and the bytes it reports acknowledged are exactly the
-    /// bytes of the transfers it reported complete.
+    /// bytes of the transfers it reported complete. The bottleneck's
+    /// backlog never exceeds the byte cap of its queue discipline.
     #[test]
     fn random_mixes_complete_with_exact_records(
         n_jobs in 1usize..4,
@@ -169,8 +193,30 @@ proptest! {
             b = b.job(j, cc.clone());
         }
         let mut sc = b.build();
+        let bottleneck = sc.dumbbell.bottleneck.index();
+        sc.set_telemetry(Box::new(MaxBacklog {
+            link: bottleneck as u32,
+            max_bytes: 0,
+        }));
         sc.run(SimTime::from_secs_f64(5.0));
         prop_assert!(sc.all_finished(), "{} with {fault:?}", cc.label());
+        let backlog = sc
+            .take_telemetry()
+            .expect("sink attached")
+            .into_any()
+            .downcast::<MaxBacklog>()
+            .expect("the attached sink");
+        let cap = match sc.sim.topology().channels[bottleneck].spec.queue {
+            QueueKind::DropTail { cap_bytes }
+            | QueueKind::EcnDropTail { cap_bytes, .. }
+            | QueueKind::StrictPriority { cap_bytes } => cap_bytes,
+        };
+        prop_assert!(backlog.max_bytes > 0, "the bottleneck carried traffic");
+        prop_assert!(
+            backlog.max_bytes <= cap,
+            "backlog {} B over the {cap} B cap",
+            backlog.max_bytes
+        );
         for i in 0..n_jobs {
             let stats = sc.stats(i);
             prop_assert_eq!(stats.len(), iters as usize);

@@ -24,8 +24,8 @@
 //!   GPT-2/GPT-3 profiles calibrated to the paper's figures, and the
 //!   scenario harness.
 //! * [`sched`] (`mltcp-sched`) — the baselines: a Cassini-style
-//!   centralized interleaving optimizer, pFabric (SRPT), PIAS (MLFQ),
-//!   and the §5 multi-resource generalization.
+//!   centralized interleaving optimizer, pFabric (SRPT), and the §5
+//!   multi-resource generalization.
 //!
 //! ## Quickstart
 //!

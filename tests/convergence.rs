@@ -101,7 +101,7 @@ fn pfabric_penalizes_the_big_job_mltcp_does_not() {
     for j in jobs() {
         b = b.job(j, CongestionSpec::Reno);
     }
-    let mut pf = apply_pfabric(b, rate, SimDuration::micros(12)).build();
+    let mut pf = apply_pfabric(b).build();
     pf.run(SimTime::from_secs_f64(60.0));
     assert!(pf.all_finished());
     let pf_j1 = pf.stats(0).tail_mean(5) / pf.ideal_period(0).as_secs_f64();
