@@ -13,10 +13,11 @@
 //! worker, return plain `Send` data, assemble the figure on the main
 //! thread.
 
-use mltcp_bench::experiments::{bottleneck, gpt2_jobs, mix_deadline};
+use mltcp_bench::experiments::{gpt2_jobs, mix_deadline};
 use mltcp_bench::{iters_or, scale, seed, Figure, Series};
 use mltcp_core::gradient::circular_distance;
 use mltcp_netsim::time::SimDuration;
+use mltcp_workload::models;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, ScenarioBuilder};
 use mltcp_workload::SweepRunner;
 
@@ -70,7 +71,7 @@ fn main() {
             let deltas: Vec<f64> = (0..n)
                 .map(|k| circular_distance(s0[k], s1[k], period))
                 .collect();
-            let comm = period * sc.jobs[0].spec.comm_fraction(bottleneck());
+            let comm = period * sc.jobs[0].spec.comm_fraction(models::paper_bottleneck());
             SlidingRun {
                 flow_series,
                 deltas,

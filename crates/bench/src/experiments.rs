@@ -4,7 +4,6 @@
 
 use crate::default_noise;
 use mltcp_netsim::fault::GilbertElliott;
-use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_sched::cassini;
 use mltcp_sched::pfabric::apply_pfabric;
@@ -126,11 +125,6 @@ pub fn mean_steady_ratio(sc: &Scenario) -> f64 {
         .map(|i| sc.stats(i).tail_mean(5) / sc.ideal_period(i).as_secs_f64())
         .sum::<f64>()
         / n as f64
-}
-
-/// The bandwidth at which jobs in this repository are modelled.
-pub fn bottleneck() -> Bandwidth {
-    models::paper_bottleneck()
 }
 
 /// One fault class × severity for the recovery experiments — the shared

@@ -172,7 +172,7 @@ fn fnv1a(s: &str) -> u64 {
 
 /// The faulted sweep's 1-worker output, hashed. Recorded when the event
 /// queue still had a second, binary-heap engine: that engine produced
-/// this same hash at 1, 4 and 8 workers, so the wheel's pop order is
+/// this same hash at 1, 4 and 8 workers, so the queue's pop order is
 /// pinned at scenario level as well as by `netsim`'s reference-queue
 /// tests. A change that moves this hash changes simulated behaviour and
 /// must say why.

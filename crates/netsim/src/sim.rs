@@ -628,9 +628,10 @@ impl Simulator {
         }
     }
 
-    /// Approximate retained capacity of the event queue, in event-sized
-    /// slots — observable for memory-high-water tests. Small buffers are
-    /// left out (see [`EventQueue::capacity`]).
+    /// Retained capacity of the event queue, in event slots: its heap
+    /// plus every link rail's deque, small buffers included (see
+    /// [`EventQueue::capacity`]). The queue never shrinks, so this is the
+    /// run's high-water mark.
     pub fn event_queue_capacity(&self) -> usize {
         self.core.events.capacity()
     }

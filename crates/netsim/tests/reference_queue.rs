@@ -1,6 +1,6 @@
 //! The event queue against a reference model: a plain `BinaryHeap` in
-//! `(time, seq)` order with its own sequence counter. The queue's timing
-//! wheel and link rails are an optimisation of exactly that order, so
+//! `(time, seq)` order with its own sequence counter. The queue's timer
+//! heap and link rails are an optimisation of exactly that order, so
 //! under any interleaving of schedules, seq reservations, departures and
 //! timers inserted later under a reserved seq, and pops, both must pop
 //! the same `(time, seq, kind)` stream.
@@ -157,7 +157,7 @@ impl Both {
     }
 
     /// Both hold the same number of pending events. The queue derives
-    /// both answers from its wheel and rails.
+    /// both answers from its heap and rails.
     fn assert_same_len(&self) {
         assert_eq!(self.q.len(), self.r.heap.len(), "pending counts diverged");
         assert_eq!(
@@ -328,11 +328,11 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
                 Op::Schedule(SimTime(at), delivery(via, i * 100))
             }
             5 if op & 16 == 0 => Op::Schedule(
-                SimTime(t + 50_000_000), // overflow range
+                SimTime(t + 50_000_000), // tens of ms ahead
                 PoppedKind::Timer { agent: 0, token: i },
             ),
-            // Timer reservations, some past the wheel horizon, inserted
-            // by a later `Insert`.
+            // Timer reservations, some ms ahead, inserted by a later
+            // `Insert`.
             5 => Op::Reserve(SimTime(t + r % 20_000_000), Reserved::Timer(1)),
             6 if op & 16 == 0 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
             6 => Op::Reserve(at, Reserved::Timer(1)),
@@ -381,7 +381,7 @@ fn wheel_pops_like_the_reference_on_mixed_traffic() {
 proptest! {
     /// Random insert/pop interleavings over [`LINKS`] links, with
     /// same-timestamp ties within and across rails and a time spread
-    /// across several wheel horizons.
+    /// across tens of milliseconds.
     #[test]
     fn wheel_matches_reference(
         ops in proptest::collection::vec((0u64..30_000_000, 0u8..15, 0..LINKS), 1..300)
@@ -401,7 +401,7 @@ proptest! {
                 9 => Op::Reserve(at, Reserved::Departure(link)),
                 10 => Op::Insert(t as usize),
                 11 => Op::Reserve(at, Reserved::Timer(1)),
-                // Past the wheel horizon from any cursor below `t`.
+                // 20 ms past `t`: later than most other ops' events.
                 12 => Op::Reserve(SimTime(t + 20_000_000), Reserved::Timer(2)),
                 13 => Op::PopUntil(at),
                 _ => Op::PopBefore(SimTime::MAX),

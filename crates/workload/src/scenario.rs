@@ -396,7 +396,6 @@ impl ScenarioBuilder {
             sim,
             jobs: handles,
             dumbbell,
-            bottleneck,
         }
     }
 }
@@ -409,8 +408,6 @@ pub struct Scenario {
     pub jobs: Vec<JobHandle>,
     /// Topology handles (bottleneck link id etc.).
     pub dumbbell: Dumbbell,
-    /// The bottleneck rate.
-    pub bottleneck: Bandwidth,
 }
 
 impl Scenario {
@@ -480,9 +477,9 @@ impl Scenario {
             .collect()
     }
 
-    /// The ideal iteration time of job `idx` on this bottleneck.
+    /// The ideal iteration time of job `idx` on the paper's bottleneck.
     pub fn ideal_period(&self, idx: usize) -> SimDuration {
-        self.jobs[idx].spec.ideal_period(self.bottleneck)
+        self.jobs[idx].spec.ideal_period(models::paper_bottleneck())
     }
 
     /// Where job `idx` resumed after its crash/restart fault, if any.

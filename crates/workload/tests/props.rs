@@ -150,7 +150,7 @@ impl TelemetrySink for MaxBacklog {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any small random job mix (possibly multi-burst, noisy, offset),
+    /// Any random mix of 2 to 8 jobs (possibly multi-burst, noisy, offset),
     /// under any congestion control and through any one bottleneck fault,
     /// runs to completion and records exactly `iterations` records per
     /// job, with strictly increasing iteration timestamps. Every sender
@@ -159,7 +159,7 @@ proptest! {
     /// backlog never exceeds the byte cap of its queue discipline.
     #[test]
     fn random_mixes_complete_with_exact_records(
-        n_jobs in 1usize..4,
+        n_jobs in 2usize..9,
         bursts in 1u32..3,
         comm_us in 50u64..400,
         compute_us in 500u64..2_000,
