@@ -9,6 +9,8 @@
 //! schedule exists — the regime in which the paper guarantees MLTCP's
 //! convergence.
 
+use std::ops::Range;
+
 /// A periodic job's schedule-relevant geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodicJob {
@@ -79,6 +81,86 @@ impl PeriodicJob {
     pub fn with_offset(&self, offset: f64) -> Self {
         Self { offset, ..*self }
     }
+
+    /// The samples at which the job communicates, as sorted, disjoint,
+    /// non-adjacent runs of sample indices written to `runs` (its old
+    /// contents are cleared). Sample `i ∈ [0, samples)` sits at
+    /// `horizon·i/samples`, as in [`demand_profile`].
+    ///
+    /// The answer equals [`is_communicating`](Self::is_communicating) at
+    /// every sample, at O(comm intervals) cost rather than O(samples).
+    /// The job communicates on `[offset + kT + q·T/b, … + a·T/b)` for
+    /// integers `k` and `q ∈ 0..b`, with `T/b` and `a·T/b` rounded as
+    /// `is_communicating` rounds them. Each edge is mapped into sample
+    /// index space and the two samples bracketing it are settled with
+    /// `is_communicating` itself. Every other sample lies more than one
+    /// sample spacing from every edge, and the predicate's rounding
+    /// (a few ulps of `horizon + |offset| + T`) is far below a spacing,
+    /// so the interval it falls in (or between) decides it. Where that
+    /// margin is not assured it scans every sample instead: more
+    /// intervals than samples, `horizon + |offset| + T` over 2⁴⁰ sample
+    /// spacings, or geometry `PeriodicJob::new` would reject.
+    pub fn comm_samples(&self, horizon: f64, samples: usize, runs: &mut Vec<Range<usize>>) {
+        runs.clear();
+        let n = samples.max(1);
+        let at = |i: usize| horizon * i as f64 / n as f64;
+        let bursts = self.bursts.max(1);
+        let sub_period = self.period / f64::from(bursts);
+        let burst = self.comm_duration() / f64::from(bursts);
+        let first_k = (-self.offset / self.period).floor() - 1.0;
+        let last_k = ((horizon - self.offset) / self.period).floor() + 1.0;
+        let intervals = (last_k - first_k + 1.0) * f64::from(bursts);
+        let margin_holds = horizon > 0.0
+            && burst > 0.0
+            && burst <= sub_period
+            && intervals <= n as f64
+            && (horizon + self.offset.abs() + self.period) * 2f64.powi(-40) < horizon / n as f64;
+        if !margin_holds {
+            for i in (0..n).filter(|&i| self.is_communicating(at(i))) {
+                push_run(runs, i..i + 1);
+            }
+            return;
+        }
+        let len = n as i64;
+        let index = |t: f64| (t * n as f64 / horizon).floor() as i64;
+        // Samples below `next` are decided.
+        let mut next = 0i64;
+        let mut settle = |runs: &mut Vec<Range<usize>>, edge: i64| {
+            for i in edge.max(next)..(edge + 2).min(len) {
+                if self.is_communicating(at(i as usize)) {
+                    push_run(runs, i as usize..i as usize + 1);
+                }
+            }
+            next = next.max(edge + 2);
+            next
+        };
+        let mut k = first_k;
+        while k <= last_k {
+            let period_start = self.offset + k * self.period;
+            for q in 0..bursts {
+                let start = period_start + f64::from(q) * sub_period;
+                let (first, end) = (index(start), index(start + burst));
+                if first >= len {
+                    return;
+                }
+                let inside_from = settle(runs, first);
+                if inside_from < end.min(len) {
+                    push_run(runs, inside_from as usize..end.min(len) as usize);
+                }
+                settle(runs, end);
+            }
+            k += 1.0;
+        }
+    }
+}
+
+/// Appends `run` to sorted runs, merging it into the last run if they
+/// touch.
+fn push_run(runs: &mut Vec<Range<usize>>, run: Range<usize>) {
+    match runs.last_mut() {
+        Some(last) if last.end == run.start => last.end = run.end,
+        _ => runs.push(run),
+    }
 }
 
 /// `x % y`, bit for bit, skipping the software `fmod` for quotients
@@ -129,13 +211,27 @@ pub fn hyperperiod(jobs: &[PeriodicJob], resolution: f64) -> f64 {
 }
 
 /// The aggregate number of jobs communicating at each of `samples` points
-/// over `[0, horizon)`.
+/// over `[0, horizon)`: the per-sample count of
+/// [`is_communicating`](PeriodicJob::is_communicating), built from each
+/// job's [`comm_samples`](PeriodicJob::comm_samples) runs.
 pub fn demand_profile(jobs: &[PeriodicJob], horizon: f64, samples: usize) -> Vec<u32> {
     let n = samples.max(1);
-    (0..n)
-        .map(|i| {
-            let t = horizon * i as f64 / n as f64;
-            jobs.iter().filter(|j| j.is_communicating(t)).count() as u32
+    // `delta[i]`: jobs whose runs start at sample `i` minus those ending there.
+    let mut delta = vec![0i32; n + 1];
+    let mut runs = Vec::new();
+    for job in jobs {
+        job.comm_samples(horizon, n, &mut runs);
+        for run in &runs {
+            delta[run.start] += 1;
+            delta[run.end] -= 1;
+        }
+    }
+    let mut d = 0i32;
+    delta[..n]
+        .iter()
+        .map(|&step| {
+            d += step;
+            d as u32
         })
         .collect()
 }

@@ -212,3 +212,98 @@ proptest! {
         }
     }
 }
+
+/// `x` moved by `n` steps of its bit pattern (`n > 0` away from zero).
+fn ulps(x: f64, n: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(n))
+}
+
+/// Periods of the paper's mixes at full and at the benchmark's 0.01
+/// scale, and one with no short binary expansion.
+const PERIODS: [f64; 6] = [1.2, 1.8, 0.012, 0.018, 1.0, 0.7];
+
+/// Raw draws for [`edge_job`]: `(period index, a, bursts)` with `a = 1`
+/// in a fifth of the draws, and `(offset kind, ulps, sample fraction, k,
+/// period fraction)`.
+type JobDraw = ((usize, f64, u32), (usize, i64, f64, i32, f64));
+
+fn job_draw() -> impl Strategy<Value = JobDraw> {
+    (
+        (
+            0usize..PERIODS.len(),
+            prop_oneof![1 => Just(1.0), 4 => 0.01f64..1.0],
+            1u32..5,
+        ),
+        (0usize..3, -3i64..4, 0.0f64..1.0, -2i32..4, -1.0f64..2.0),
+    )
+}
+
+/// A job whose offset puts a comm edge on a sample instant (±0–3 ulp),
+/// on a period or sub-period edge (±0–3 ulp), or anywhere in `[−T, 2T)`.
+fn edge_job(draw: JobDraw, horizon: f64, samples: usize) -> PeriodicJob {
+    let ((p, a, bursts), (kind, ulp, at, k, frac)) = draw;
+    let period = PERIODS[p];
+    let job = PeriodicJob::new(period, a, 0.0)
+        .unwrap()
+        .with_bursts(bursts);
+    let sub = period / f64::from(bursts);
+    let burst = job.comm_duration() / f64::from(bursts);
+    let offset = match kind {
+        // The start (even k) or end (odd k) edge of a sub-burst at a sample.
+        0 => {
+            let i = (at * samples as f64) as usize;
+            let t = horizon * i as f64 / samples as f64;
+            let edge = if k % 2 == 0 { 0.0 } else { burst };
+            ulps(t - f64::from(k) * sub - edge, ulp)
+        }
+        1 => ulps(f64::from(k) * if k % 2 == 0 { period } else { sub }, ulp),
+        _ => frac * period,
+    };
+    job.with_offset(offset)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `comm_samples` is `is_communicating` at every sample, as sorted,
+    /// disjoint, non-adjacent runs; `demand_profile` built on it is the
+    /// per-sample count bit for bit. Horizons include whole hyperperiods
+    /// of the drawn periods and unrelated lengths.
+    #[test]
+    fn comm_samples_match_is_communicating(
+        horizon in prop_oneof![
+            Just(0.036),
+            Just(3.6),
+            Just(0.018),
+            Just(1.2),
+            0.001f64..10.0
+        ],
+        samples in prop_oneof![Just(8192usize), Just(256), 1usize..3000],
+        draws in proptest::collection::vec(job_draw(), 1..6),
+    ) {
+        let jobs: Vec<PeriodicJob> = draws
+            .into_iter()
+            .map(|d| edge_job(d, horizon, samples))
+            .collect();
+        let at = |i: usize| horizon * i as f64 / samples as f64;
+        let mut runs = Vec::new();
+        for job in &jobs {
+            job.comm_samples(horizon, samples, &mut runs);
+            let mut member = vec![false; samples];
+            let mut prev_end = None;
+            for run in &runs {
+                prop_assert!(run.start < run.end && run.end <= samples, "{run:?}");
+                prop_assert!(prev_end.is_none_or(|e| e < run.start), "{runs:?}");
+                prev_end = Some(run.end);
+                member[run.clone()].fill(true);
+            }
+            for (i, &m) in member.iter().enumerate() {
+                prop_assert_eq!(m, job.is_communicating(at(i)), "sample {} at {:e} for {:?}", i, at(i), job);
+            }
+        }
+        let want: Vec<u32> = (0..samples)
+            .map(|i| jobs.iter().filter(|j| j.is_communicating(at(i))).count() as u32)
+            .collect();
+        prop_assert_eq!(demand_profile(&jobs, horizon, samples), want);
+    }
+}

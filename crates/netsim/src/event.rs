@@ -671,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_wheel_horizon() {
+    fn far_future_events_pop_in_time_order() {
         // Times from nanoseconds to seconds out, scheduled out of order
         // around a few ms, pop in time order.
         let mut q = EventQueue::new();

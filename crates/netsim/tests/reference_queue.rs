@@ -282,7 +282,7 @@ fn delivery(via: LinkId, seq: u64) -> PoppedKind {
 /// faults, and pops with and without a deadline, some draining every
 /// event due.
 #[test]
-fn wheel_pops_like_the_reference_on_mixed_traffic() {
+fn queue_pops_like_the_reference_on_mixed_traffic() {
     let mut t = 0u64;
     let ops = (0..8_000u64).map(|i| {
         // Simple LCG so the pattern is fixed but irregular.
@@ -383,7 +383,7 @@ proptest! {
     /// same-timestamp ties within and across rails and a time spread
     /// across tens of milliseconds.
     #[test]
-    fn wheel_matches_reference(
+    fn queue_matches_reference(
         ops in proptest::collection::vec((0u64..30_000_000, 0u8..15, 0..LINKS), 1..300)
     ) {
         let ops = ops.iter().enumerate().map(|(i, &(t, op, link))| {

@@ -14,11 +14,24 @@
 //! such schedule (see the `fig2_mix_with_contiguous_gpt3_comm_cannot_tile`
 //! test).
 //!
+//! Cost: each job's placement and each descent step count the other
+//! jobs' demand at the `samples` points once, in O(samples + their comm
+//! intervals) via [`PeriodicJob::comm_samples`]. Each of the `grid`
+//! candidates is then scored by its exact excess count `W = Σ (d − 1)⁺`
+//! from prefix sums, in O(its own comm intervals). The count decides, the
+//! in-order float sum breaks ties: the offsets and report are those of
+//! scoring every candidate by the sampled float integral, bit for bit,
+//! and only a tie at `W > 0` sums floats, in O(busy samples).
+//!
 //! The returned offsets are *communication-phase* start times; use
 //! [`driver_offsets`] to convert them into job (compute-phase) start
 //! offsets for the simulator's workload driver.
 
-use mltcp_core::schedule::{contention, hyperperiod, ContentionReport, PeriodicJob};
+use std::ops::Range;
+
+use mltcp_core::schedule::{
+    contention, demand_profile, hyperperiod, ContentionReport, PeriodicJob,
+};
 use mltcp_netsim::time::SimDuration;
 
 /// The optimizer's output.
@@ -41,45 +54,102 @@ impl InterleavedSchedule {
     }
 }
 
-/// The demand of every job but the one being placed, sampled at the
-/// points [`contention`] samples over the same horizon. Scoring a
-/// candidate offset against it gives exactly `contention(..)
-/// .excess_demand` of the full mix without re-sampling the other jobs.
+/// The demand of every job but the one being placed, counted at the
+/// samples [`contention`] takes over the same horizon, with what scoring a
+/// candidate offset against it needs.
+///
+/// A candidate's score is the excess-demand integral `e = Σ (d − 1)·dt`
+/// over samples with `d ≥ 2`, summed in sample order: bit for bit
+/// `contention(..).excess_demand` of the full mix. It is `W·dt` up to
+/// rounding, for the integer count `W = Σ (d − 1)⁺`, which prefix sums
+/// over the busy samples give in O(the candidate's comm intervals).
+///
+/// The count decides, the in-order float sum breaks ties. A float sum of
+/// at most `n` terms lies within `n·2⁻⁵³` relative of `W·dt`, so where
+/// two counts differ their floats differ by nearly `dt`, far more than
+/// that rounding plus the descent's `1e-12` margin, and they order as the
+/// counts do. `W = 0` is `e == 0.0`. Only a tie at `W > 0` runs the float
+/// loop, for the candidate and, once per incumbent, for the incumbent.
+/// `count_decides` checks the bounds behind this for the horizon; where
+/// they fail, every comparison runs the float loop.
 struct OthersDemand {
-    /// `(tₛ, number of other jobs communicating at tₛ)` for every sample
-    /// where that number is non-zero, in sample order.
-    busy: Vec<(f64, u32)>,
+    /// `(sample index, number of other jobs communicating there)` for
+    /// every sample where that number is non-zero, in sample order.
+    busy: Vec<(u32, u32)>,
+    /// `busy_before[i]`: how many of samples `0..i` are busy (counts and
+    /// indices fit `u32`: a longer profile would take over 16 GiB).
+    busy_before: Vec<u32>,
+    /// The others' own excess count, `Σ (d − 1)⁺` over the samples.
+    others_count: u64,
+    horizon: f64,
+    samples: usize,
     /// Sample spacing, `horizon / samples`.
     dt: f64,
+    /// Whether unequal counts decide a comparison without the floats.
+    count_decides: bool,
+}
+
+/// A candidate offset's score: its excess count and, once a tie needed
+/// it, its in-order float sum.
+struct Scored {
+    count: u64,
+    excess: Option<f64>,
+    offset: f64,
 }
 
 impl OthersDemand {
-    fn new<'a>(
-        others: impl Iterator<Item = &'a PeriodicJob> + Clone,
-        horizon: f64,
-        samples: usize,
-    ) -> Self {
-        let busy = (0..samples)
-            .filter_map(|i| {
-                let t = horizon * i as f64 / samples as f64;
-                let d = others.clone().filter(|j| j.is_communicating(t)).count() as u32;
-                (d > 0).then_some((t, d))
-            })
-            .collect();
+    fn new(others: &[PeriodicJob], horizon: f64, samples: usize) -> Self {
+        let profile = demand_profile(others, horizon, samples);
+        let mut busy = Vec::new();
+        let mut busy_before = Vec::with_capacity(samples + 1);
+        busy_before.push(0);
+        let mut others_count = 0;
+        for (i, &d) in profile.iter().enumerate() {
+            if d > 0 {
+                busy.push((i as u32, d));
+                others_count += u64::from(d - 1);
+            }
+            busy_before.push(busy.len() as u32);
+        }
+        let dt = horizon / samples as f64;
+        // `W ≤ samples · jobs`, so `W·γₙ ≤ samples² · jobs · 2⁻⁵³ ≤ 1/16`
+        // and two floats whose counts differ stay over `dt/2` apart, more
+        // than the descent's `1e-12` margin when `dt ≥ 1e-9`.
+        let jobs = (others.len() + 1) as f64;
+        let count_decides = dt >= 1e-9 && (samples as f64).powi(2) * jobs <= 2f64.powi(49);
         Self {
             busy,
-            dt: horizon / samples as f64,
+            busy_before,
+            others_count,
+            horizon,
+            samples,
+            dt,
+            count_decides,
         }
     }
 
-    /// The excess-demand integral with `cand` added, summed in sample
-    /// order. Samples where no other job communicates add nothing. Once
-    /// the partial sum reaches `bound` it returns early: the terms are
-    /// non-negative, so the full sum could not be below `bound` either.
-    fn excess_with(&self, cand: &PeriodicJob, bound: f64) -> f64 {
+    /// The excess count `W` of the full mix, with the candidate
+    /// communicating on `runs`: each busy sample it covers adds one.
+    fn count_with(&self, runs: &[Range<usize>]) -> u64 {
+        let covered: u32 = runs
+            .iter()
+            .map(|r| self.busy_before[r.end] - self.busy_before[r.start])
+            .sum();
+        self.others_count + u64::from(covered)
+    }
+
+    /// The excess-demand integral with the candidate communicating on
+    /// `runs`, summed in sample order. Samples where no other job
+    /// communicates add nothing. Once the partial sum reaches `bound` it
+    /// returns early: the terms are non-negative, so the full sum could
+    /// not be below `bound` either.
+    fn excess_with(&self, runs: &[Range<usize>], bound: f64) -> f64 {
+        let mut runs = runs.iter().peekable();
         let mut excess = 0.0;
-        for &(t, base) in &self.busy {
-            let d = base + u32::from(cand.is_communicating(t));
+        for &(i, base) in &self.busy {
+            let i = i as usize;
+            while runs.next_if(|r| r.end <= i).is_some() {}
+            let d = base + u32::from(runs.peek().is_some_and(|r| r.start <= i));
             if d >= 2 {
                 excess += (d - 1) as f64 * self.dt;
                 if excess >= bound {
@@ -88,6 +158,67 @@ impl OthersDemand {
             }
         }
         excess
+    }
+
+    /// Scans `job`'s `grid` candidate offsets in order and returns the
+    /// best: a candidate replaces the incumbent when its float `e` is
+    /// below the incumbent's minus `margin`. `best` is the incumbent to
+    /// beat, if any. The scan stops at a zero count, which nothing after
+    /// it could beat.
+    fn best_offset(
+        &self,
+        job: &PeriodicJob,
+        grid: usize,
+        mut best: Option<Scored>,
+        margin: f64,
+    ) -> Scored {
+        let mut runs = Vec::new();
+        for g in 0..grid {
+            let offset = job.period * g as f64 / grid as f64;
+            job.with_offset(offset)
+                .comm_samples(self.horizon, self.samples, &mut runs);
+            let count = self.count_with(&runs);
+            let better = match &mut best {
+                None => true,
+                Some(incumbent) => self.beats(job, count, &runs, incumbent, margin),
+            };
+            if better {
+                best = Some(Scored {
+                    count,
+                    excess: None,
+                    offset,
+                });
+            }
+            if count == 0 {
+                break;
+            }
+        }
+        best.expect("the grid has at least 8 candidates")
+    }
+
+    /// `e < incumbent − margin` for the candidate with `count` on `runs`.
+    fn beats(
+        &self,
+        job: &PeriodicJob,
+        count: u64,
+        runs: &[Range<usize>],
+        incumbent: &mut Scored,
+        margin: f64,
+    ) -> bool {
+        if count != incumbent.count && self.count_decides {
+            return count < incumbent.count;
+        }
+        if count == 0 && incumbent.count == 0 {
+            return false; // 0.0 < 0.0 − margin never holds
+        }
+        let offset = incumbent.offset;
+        let best = *incumbent.excess.get_or_insert_with(|| {
+            let mut own = Vec::new();
+            job.with_offset(offset)
+                .comm_samples(self.horizon, self.samples, &mut own);
+            self.excess_with(&own, f64::INFINITY)
+        });
+        self.excess_with(runs, best - margin) < best - margin
     }
 }
 
@@ -101,7 +232,6 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
     assert!(!jobs.is_empty(), "need at least one job");
     let grid = grid.max(8);
     let samples = samples.max(256);
-    let candidate = |job: &PeriodicJob, g: usize| job.period * g as f64 / grid as f64;
     let mut placed: Vec<PeriodicJob> = Vec::with_capacity(jobs.len());
 
     // Greedy sequential placement: each job picks the offset minimizing
@@ -121,24 +251,15 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         placed.push(job);
         let horizon = hyperperiod(&placed, 1e-6);
         placed.pop();
-        let others = OthersDemand::new(placed.iter(), horizon, samples);
-        let mut best = (f64::INFINITY, 0.0);
-        for g in 0..grid {
-            let off = candidate(&job, g);
-            let e = others.excess_with(&job.with_offset(off), best.0);
-            if e < best.0 {
-                best = (e, off);
-            }
-            if e == 0.0 {
-                break; // can't beat zero
-            }
-        }
-        offsets[idx] = best.1;
-        placed.push(job.with_offset(best.1));
+        let others = OthersDemand::new(&placed, horizon, samples);
+        offsets[idx] = others.best_offset(&job, grid, None, 0.0).offset;
+        placed.push(job.with_offset(offsets[idx]));
     }
 
     // Coordinate descent refinement: move one job at a time to its best
-    // grid offset against the others, keeping strict improvements.
+    // grid offset against the others, keeping improvements by more than
+    // 1e-12. The incumbent is the current mix, whose float is known until
+    // a job moves and then computed only if a tie needs it.
     let mut current: Vec<PeriodicJob> = jobs
         .iter()
         .zip(&offsets)
@@ -146,33 +267,33 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         .collect();
     let horizon = hyperperiod(&current, 1e-6);
     let mut report = contention(&current, samples);
-    let mut best_excess = report.excess_demand;
+    let mut mix_excess = Some(report.excess_demand);
+    let mut mix_is_zero = report.excess_demand == 0.0;
     let mut moved = false;
+    let mut others_buf = Vec::with_capacity(jobs.len());
+    let mut runs = Vec::new();
     for _round in 0..4 {
-        if best_excess == 0.0 {
+        if mix_is_zero {
             break;
         }
         let mut improved = false;
         for i in 0..current.len() {
-            let job = jobs[i];
-            let others = OthersDemand::new(
-                current[..i].iter().chain(&current[i + 1..]),
-                horizon,
-                samples,
-            );
-            let mut best = (best_excess, current[i].offset);
-            for g in 0..grid {
-                let off = candidate(&job, g);
-                let e = others.excess_with(&job.with_offset(off), best.0 - 1e-12);
-                if e < best.0 - 1e-12 {
-                    best = (e, off);
-                }
-            }
-            if best.1 != current[i].offset {
-                current[i] = job.with_offset(best.1);
-                best_excess = best.0;
+            others_buf.clear();
+            others_buf.extend(current[..i].iter().chain(&current[i + 1..]));
+            let others = OthersDemand::new(&others_buf, horizon, samples);
+            current[i].comm_samples(horizon, samples, &mut runs);
+            let incumbent = Scored {
+                count: others.count_with(&runs),
+                excess: mix_excess,
+                offset: current[i].offset,
+            };
+            let best = others.best_offset(&jobs[i], grid, Some(incumbent), 1e-12);
+            if best.offset != current[i].offset {
+                current[i] = jobs[i].with_offset(best.offset);
                 improved = true;
             }
+            mix_excess = best.excess;
+            mix_is_zero = best.count == 0;
         }
         if !improved {
             break;
@@ -396,5 +517,62 @@ mod tests {
             &[0x3feb111111111111, 0x3fcc444444444444, 0x3fe3333333333333],
             (2, 0x3fc9900000000000, 0x3fc9900000000000),
         );
+    }
+
+    /// For every grid offset of every job against the others (all
+    /// synchronized at offset 0), the prefix-sum count equals
+    /// `Σ (d − 1)⁺` counted with `is_communicating` at every sample, and
+    /// wherever two counts differ, both float comparisons the optimizer
+    /// makes, `e < e'` and `e < e' − 1e-12`, order the candidates as the
+    /// counts do.
+    #[test]
+    fn counts_decide_as_the_floats_do() {
+        let rate = models::paper_bottleneck();
+        let mixes = [
+            models::fig2_mix(rate, 0.01, 8)
+                .iter()
+                .map(|j| j.to_periodic(rate))
+                .collect(),
+            vec![job(1.2, 0.5), job(1.8, 1.0 / 6.0), job(1.8, 0.3)],
+            vec![job(1.0, 0.4).with_bursts(3), job(1.5, 0.9), job(1.0, 1.0)],
+        ];
+        let (grid, samples) = (240, 8192);
+        for mix in &mixes {
+            let horizon = hyperperiod(mix, 1e-6);
+            for (i, job) in mix.iter().enumerate() {
+                let others: Vec<PeriodicJob> =
+                    mix[..i].iter().chain(&mix[i + 1..]).copied().collect();
+                let demand = OthersDemand::new(&others, horizon, samples);
+                assert!(demand.count_decides);
+                let mut runs = Vec::new();
+                let scores: Vec<(u64, f64)> = (0..grid)
+                    .map(|g| {
+                        let cand = job.with_offset(job.period * g as f64 / grid as f64);
+                        cand.comm_samples(horizon, samples, &mut runs);
+                        let brute: u64 = (0..samples)
+                            .map(|s| {
+                                let t = horizon * s as f64 / samples as f64;
+                                let d = others
+                                    .iter()
+                                    .chain([&cand])
+                                    .filter(|j| j.is_communicating(t))
+                                    .count();
+                                d.saturating_sub(1) as u64
+                            })
+                            .sum();
+                        let count = demand.count_with(&runs);
+                        assert_eq!(count, brute, "job {i} candidate {g}");
+                        (count, demand.excess_with(&runs, f64::INFINITY))
+                    })
+                    .collect();
+                for &(w, e) in &scores {
+                    assert_eq!(w == 0, e == 0.0);
+                    for &(w2, e2) in scores.iter().filter(|s| s.0 != w) {
+                        assert_eq!(e < e2, w < w2, "{e} vs {e2}");
+                        assert_eq!(e < e2 - 1e-12, w < w2, "{e} vs {e2}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,16 +1,20 @@
 //! The Cassini optimizer against a reference model: the same scan with
 //! every candidate offset scored by a full contention evaluation, which
 //! re-samples every job over the hyperperiod. `optimize_offsets` scores
-//! candidates against a cached demand profile of the other jobs, an
-//! optimisation of exactly that computation, so both must return
-//! bit-identical offsets and reports on any mix.
+//! candidates by exact excess counts against a cached demand profile of
+//! the other jobs and sums floats only to break ties, an optimisation of
+//! exactly that computation, so both must return bit-identical offsets
+//! and reports on any mix.
 //!
 //! The reference samples phases with its own plain-`%` copy of
-//! `is_communicating` and its own contention sum, so it does not share
-//! the exact-remainder fast paths of `mltcp_core::schedule` it checks.
+//! `is_communicating` at every sample and its own contention sum, so it
+//! shares neither the exact-remainder fast paths nor the interval-built
+//! demand (`PeriodicJob::comm_samples`) of `mltcp_core::schedule` it
+//! checks.
 
 use mltcp_core::schedule::{hyperperiod, ContentionReport, PeriodicJob};
 use mltcp_sched::cassini::{optimize_offsets, InterleavedSchedule};
+use mltcp_workload::{job::JobSpec, models};
 use proptest::prelude::*;
 
 /// Whether `j` communicates at `t`, reduced with plain `%`.
@@ -150,19 +154,40 @@ fn assert_matches_reference(jobs: &[PeriodicJob], grid: usize, samples: usize) {
     );
 }
 
-const PERIODS: [f64; 6] = [1.0, 1.2, 1.5, 1.8, 2.0, 2.4];
+/// The paper's periods, and the 0.01-scale GPT-3 and GPT-2 periods the
+/// benchmark's Cassini mixes run at.
+const PERIODS: [f64; 8] = [1.0, 1.2, 1.5, 1.8, 2.0, 2.4, 0.012, 0.018];
 
 proptest! {
-    /// Random 2–7-job mixes; `Σa` ranges well past 1, so many mixes are
-    /// incompatible and coordinate descent runs.
+    /// Random 2–7-job mixes of 1–4 bursts; `Σa` ranges well past 1, so
+    /// many mixes are incompatible and coordinate descent runs, and
+    /// `a = 1` in a fifth of the draws makes a job's bursts abut.
     #[test]
-    fn optimizer_matches_reference(mix in proptest::collection::vec((0usize..6, 0.05f64..0.4, 1u32..3), 2..8)) {
+    fn optimizer_matches_reference(
+        mix in proptest::collection::vec(
+            (0usize..PERIODS.len(), prop_oneof![4 => 0.05f64..1.0, 1 => Just(1.0)], 1u32..5),
+            2..8,
+        ),
+    ) {
         let jobs: Vec<PeriodicJob> = mix
             .iter()
             .map(|&(p, a, bursts)| PeriodicJob::new(PERIODS[p], a, 0.0).unwrap().with_bursts(bursts))
             .collect();
         assert_matches_reference(&jobs, 60, 1024);
     }
+}
+
+/// The periodic geometry of the benchmark's Cassini mixes, the Fig. 2 mix
+/// and 6×GPT-2 at scale 0.01 (compute noise does not enter it), at the
+/// resolution every caller uses.
+#[test]
+fn benchmark_mixes_match_reference_at_full_resolution() {
+    let rate = models::paper_bottleneck();
+    let periodic = |specs: Vec<JobSpec>| -> Vec<PeriodicJob> {
+        specs.iter().map(|j| j.to_periodic(rate)).collect()
+    };
+    assert_matches_reference(&periodic(models::fig2_mix(rate, 0.01, 8)), 240, 8192);
+    assert_matches_reference(&periodic(models::gpt2_pack(rate, 0.01, 8, 6)), 240, 8192);
 }
 
 #[test]
@@ -174,4 +199,17 @@ fn grid_and_sample_floors_match_reference() {
         PeriodicJob::new(2.0, 0.35, 0.0).unwrap(),
     ];
     assert_matches_reference(&jobs, 3, 10);
+}
+
+#[test]
+fn microsecond_periods_match_reference() {
+    // A 6 µs hyperperiod over 8192 samples puts the sample spacing below
+    // 1e-9 s, where unequal counts no longer decide and every comparison
+    // sums floats.
+    let jobs = [
+        PeriodicJob::new(2e-6, 0.5, 0.0).unwrap(),
+        PeriodicJob::new(3e-6, 0.4, 0.0).unwrap().with_bursts(2),
+        PeriodicJob::new(3e-6, 0.3, 0.0).unwrap(),
+    ];
+    assert_matches_reference(&jobs, 60, 8192);
 }
