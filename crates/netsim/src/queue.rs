@@ -218,7 +218,8 @@ impl FifoQueue {
 
 /// Strict-priority queue: serves the lowest `priority` tag first (FIFO
 /// within a tag); when full, evicts the highest tag to admit a more urgent
-/// arrival (and drops the arrival if it is itself the least urgent).
+/// arrival. It drops the arrival instead if the arrival is itself the
+/// least urgent, or if evicting that one packet would not make room.
 #[derive(Debug)]
 pub struct PriorityQueue {
     cap_bytes: u64,
@@ -249,28 +250,22 @@ impl PriorityQueue {
             self.queue.insert(key, pkt);
             return EnqueueOutcome::Accepted;
         }
-        // Full: compare against the least-urgent resident.
-        match self.queue.iter().next_back().map(|(k, _)| *k) {
-            Some(worst_key) if worst_key.0 > pkt.priority => {
+        // Full: compare against the least-urgent resident. pFabric evicts
+        // per packet, so an eviction that would not free room for the
+        // arrival (a short victim, a long arrival) is declined and the
+        // arrival dropped: every offered packet is queued or reported.
+        match self.queue.iter().next_back() {
+            Some((&worst_key, worst))
+                if worst_key.0 > pkt.priority
+                    && self.bytes - u64::from(worst.wire_bytes) + size <= self.cap_bytes =>
+            {
                 let victim = self.queue.remove(&worst_key).expect("key just observed");
                 self.bytes -= u64::from(victim.wire_bytes);
-                // Note: a single eviction may not free enough bytes for a
-                // larger arrival; in that case the arrival is dropped too
-                // (matching pFabric's per-packet granularity: packets are
-                // near-uniform MTU-sized).
-                if self.bytes + size <= self.cap_bytes {
-                    let key = (pkt.priority, self.next_seq);
-                    self.next_seq += 1;
-                    self.bytes += size;
-                    self.queue.insert(key, pkt);
-                    EnqueueOutcome::Evicted(victim)
-                } else {
-                    // Could not fit even after evicting; treat the victim
-                    // as the drop and reject the arrival as well by
-                    // reinserting nothing. Report the arrival dropped (the
-                    // victim drop is the outcome).
-                    EnqueueOutcome::Evicted(victim)
-                }
+                let key = (pkt.priority, self.next_seq);
+                self.next_seq += 1;
+                self.bytes += size;
+                self.queue.insert(key, pkt);
+                EnqueueOutcome::Evicted(victim)
             }
             _ => EnqueueOutcome::DroppedArrival(pkt),
         }
@@ -454,6 +449,34 @@ mod tests {
             EnqueueOutcome::DroppedArrival(p) => assert_eq!(p.flow, FlowId(3)),
             other => panic!("expected arrival drop, got {other:?}"),
         }
+    }
+
+    /// Evicting the least-urgent packet would leave too little room for
+    /// a long arrival: the eviction is declined and the arrival reported
+    /// dropped, so every offered packet is resident or reported, in
+    /// packets and in bytes.
+    #[test]
+    fn priority_declines_an_eviction_that_cannot_make_room() {
+        let mut q = PriorityQueue::new(3000);
+        let offered = [pkt(1, 2500, 10), pkt(2, 200, 1000), pkt(3, 1500, 500)];
+        let (mut dropped, mut dropped_bytes) = (0, 0);
+        for p in offered {
+            match q.enqueue(p) {
+                EnqueueOutcome::Accepted | EnqueueOutcome::AcceptedMarked => {}
+                EnqueueOutcome::DroppedArrival(d) | EnqueueOutcome::Evicted(d) => {
+                    dropped += 1;
+                    dropped_bytes += u64::from(d.wire_bytes);
+                }
+            }
+        }
+        // 2540 B + 240 B resident: evicting the 240 B victim would leave
+        // 2540 B, and the 1540 B arrival still would not fit in 3000 B.
+        let offered_bytes: u64 = offered.iter().map(|p| u64::from(p.wire_bytes)).sum();
+        assert_eq!(q.backlog_packets() + dropped, offered.len());
+        assert_eq!(q.backlog_bytes() + dropped_bytes, offered_bytes);
+        assert_eq!((q.backlog_packets(), dropped), (2, 1));
+        assert_eq!(q.dequeue().unwrap().flow, FlowId(1));
+        assert_eq!(q.dequeue().unwrap().flow, FlowId(2));
     }
 
     #[test]

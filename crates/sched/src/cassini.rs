@@ -14,14 +14,16 @@
 //! such schedule (see the `fig2_mix_with_contiguous_gpt3_comm_cannot_tile`
 //! test).
 //!
-//! Cost: each job's placement and each descent step count the other
-//! jobs' demand at the `samples` points once, in O(samples + their comm
-//! intervals) via [`PeriodicJob::comm_samples`]. Each of the `grid`
-//! candidates is then scored by its exact excess count `W = Σ (d − 1)⁺`
-//! from prefix sums, in O(its own comm intervals). The count decides, the
+//! Cost: each job's placement and each descent step turn the other jobs'
+//! comm runs ([`PeriodicJob::comm_samples`]) into run-length segments of
+//! constant demand, in O(their comm intervals · log), with no per-sample
+//! array. Each of the `grid` candidates is then scored by its exact
+//! excess count `W = Σ (d − 1)⁺` from the segments' prefix counts, in
+//! O(its own comm intervals · log segments). The count decides, the
 //! in-order float sum breaks ties: the offsets and report are those of
 //! scoring every candidate by the sampled float integral, bit for bit,
-//! and only a tie at `W > 0` sums floats, in O(busy samples).
+//! and only a tie at `W > 0` sums floats, over the contended samples
+//! alone.
 //!
 //! The returned offsets are *communication-phase* start times; use
 //! [`driver_offsets`] to convert them into job (compute-phase) start
@@ -29,9 +31,7 @@
 
 use std::ops::Range;
 
-use mltcp_core::schedule::{
-    contention, demand_profile, hyperperiod, ContentionReport, PeriodicJob,
-};
+use mltcp_core::schedule::{contention, hyperperiod, ContentionReport, PeriodicJob};
 use mltcp_netsim::time::SimDuration;
 
 /// The optimizer's output.
@@ -58,27 +58,33 @@ impl InterleavedSchedule {
 /// samples [`contention`] takes over the same horizon, with what scoring a
 /// candidate offset against it needs.
 ///
+/// The demand is held as sorted, disjoint runs of samples over which the
+/// number of other jobs communicating is a constant `d ≥ 1`, built by
+/// sweeping the edges of those jobs' [`PeriodicJob::comm_samples`] runs:
+/// O(their comm intervals), with no per-sample profile.
+///
 /// A candidate's score is the excess-demand integral `e = Σ (d − 1)·dt`
 /// over samples with `d ≥ 2`, summed in sample order: bit for bit
 /// `contention(..).excess_demand` of the full mix. It is `W·dt` up to
-/// rounding, for the integer count `W = Σ (d − 1)⁺`, which prefix sums
-/// over the busy samples give in O(the candidate's comm intervals).
+/// rounding, for the integer count `W = Σ (d − 1)⁺`, which prefix counts
+/// over the segments give in O(the candidate's comm intervals · log
+/// segments).
 ///
 /// The count decides, the in-order float sum breaks ties. A float sum of
 /// at most `n` terms lies within `n·2⁻⁵³` relative of `W·dt`, so where
 /// two counts differ their floats differ by nearly `dt`, far more than
 /// that rounding plus the descent's `1e-12` margin, and they order as the
 /// counts do. `W = 0` is `e == 0.0`. Only a tie at `W > 0` runs the float
-/// loop, for the candidate and, once per incumbent, for the incumbent.
-/// `count_decides` checks the bounds behind this for the horizon; where
-/// they fail, every comparison runs the float loop.
+/// loop, for the candidate and, once per incumbent, for the incumbent; it
+/// visits only the contended samples. `count_decides` checks the bounds
+/// behind this for the horizon; where they fail, every comparison runs
+/// the float loop.
 struct OthersDemand {
-    /// `(sample index, number of other jobs communicating there)` for
-    /// every sample where that number is non-zero, in sample order.
-    busy: Vec<(u32, u32)>,
-    /// `busy_before[i]`: how many of samples `0..i` are busy (counts and
-    /// indices fit `u32`: a longer profile would take over 16 GiB).
-    busy_before: Vec<u32>,
+    /// `(start, end, d)`: samples `start..end` have `d ≥ 1` other jobs
+    /// communicating. Sorted and disjoint.
+    segments: Vec<(usize, usize, u32)>,
+    /// `busy_before[k]`: the samples covered by `segments[..k]`.
+    busy_before: Vec<usize>,
     /// The others' own excess count, `Σ (d − 1)⁺` over the samples.
     others_count: u64,
     horizon: f64,
@@ -99,17 +105,29 @@ struct Scored {
 
 impl OthersDemand {
     fn new(others: &[PeriodicJob], horizon: f64, samples: usize) -> Self {
-        let profile = demand_profile(others, horizon, samples);
-        let mut busy = Vec::new();
-        let mut busy_before = Vec::with_capacity(samples + 1);
-        busy_before.push(0);
-        let mut others_count = 0;
-        for (i, &d) in profile.iter().enumerate() {
-            if d > 0 {
-                busy.push((i as u32, d));
-                others_count += u64::from(d - 1);
+        // `(sample, ±1)` for every run start and end of every other job.
+        let mut edges = Vec::new();
+        let mut runs = Vec::new();
+        for job in others {
+            job.comm_samples(horizon, samples, &mut runs);
+            for r in &runs {
+                edges.push((r.start, 1i32));
+                edges.push((r.end, -1));
             }
-            busy_before.push(busy.len() as u32);
+        }
+        edges.sort_unstable_by_key(|&(at, _)| at);
+        let mut segments = Vec::new();
+        let mut busy_before = vec![0];
+        let mut others_count = 0;
+        let (mut d, mut from) = (0i32, 0);
+        for &(at, step) in &edges {
+            if at > from && d > 0 {
+                segments.push((from, at, d as u32));
+                busy_before.push(busy_before.last().expect("starts at 0") + (at - from));
+                others_count += (d - 1) as u64 * (at - from) as u64;
+            }
+            d += step;
+            from = at;
         }
         let dt = horizon / samples as f64;
         // `W ≤ samples · jobs`, so `W·γₙ ≤ samples² · jobs · 2⁻⁵³ ≤ 1/16`
@@ -118,7 +136,7 @@ impl OthersDemand {
         let jobs = (others.len() + 1) as f64;
         let count_decides = dt >= 1e-9 && (samples as f64).powi(2) * jobs <= 2f64.powi(49);
         Self {
-            busy,
+            segments,
             busy_before,
             others_count,
             horizon,
@@ -128,33 +146,55 @@ impl OthersDemand {
         }
     }
 
+    /// How many of samples `0..i` are busy.
+    fn busy_below(&self, i: usize) -> usize {
+        let k = self.segments.partition_point(|&(_, end, _)| end <= i);
+        let inside = self
+            .segments
+            .get(k)
+            .map_or(0, |&(start, _, _)| i.saturating_sub(start));
+        self.busy_before[k] + inside
+    }
+
     /// The excess count `W` of the full mix, with the candidate
     /// communicating on `runs`: each busy sample it covers adds one.
     fn count_with(&self, runs: &[Range<usize>]) -> u64 {
-        let covered: u32 = runs
+        let covered: usize = runs
             .iter()
-            .map(|r| self.busy_before[r.end] - self.busy_before[r.start])
+            .map(|r| self.busy_below(r.end) - self.busy_below(r.start))
             .sum();
-        self.others_count + u64::from(covered)
+        self.others_count + covered as u64
     }
 
     /// The excess-demand integral with the candidate communicating on
-    /// `runs`, summed in sample order. Samples where no other job
-    /// communicates add nothing. Once the partial sum reaches `bound` it
+    /// `runs`, summed in sample order over the samples where `d ≥ 2`:
+    /// those of a segment with `d ≥ 2`, and those the candidate covers of
+    /// a segment with `d = 1`. Once the partial sum reaches `bound` it
     /// returns early: the terms are non-negative, so the full sum could
     /// not be below `bound` either.
     fn excess_with(&self, runs: &[Range<usize>], bound: f64) -> f64 {
         let mut runs = runs.iter().peekable();
         let mut excess = 0.0;
-        for &(i, base) in &self.busy {
-            let i = i as usize;
-            while runs.next_if(|r| r.end <= i).is_some() {}
-            let d = base + u32::from(runs.peek().is_some_and(|r| r.start <= i));
-            if d >= 2 {
-                excess += (d - 1) as f64 * self.dt;
-                if excess >= bound {
-                    break;
+        for &(start, end, base) in &self.segments {
+            let mut i = start;
+            while i < end {
+                while runs.next_if(|r| r.end <= i).is_some() {}
+                // Whether the candidate covers `i`, and where that changes.
+                let (covered, next) = match runs.peek() {
+                    Some(r) if r.start <= i => (true, r.end.min(end)),
+                    Some(r) => (false, r.start.min(end)),
+                    None => (false, end),
+                };
+                let d = base + u32::from(covered);
+                if d >= 2 {
+                    for _ in i..next {
+                        excess += (d - 1) as f64 * self.dt;
+                        if excess >= bound {
+                            return excess;
+                        }
+                    }
                 }
+                i = next;
             }
         }
         excess
@@ -336,7 +376,9 @@ pub fn driver_offsets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mltcp_core::schedule::demand_profile;
     use mltcp_workload::models;
+    use proptest::prelude::*;
 
     fn job(t: f64, a: f64) -> PeriodicJob {
         PeriodicJob::new(t, a, 0.0).unwrap()
@@ -574,5 +616,190 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-sample form of [`OthersDemand`], the oracle of its segment
+    /// form: the others' demand profile, its busy samples in order, and
+    /// prefix counts over them.
+    struct SampledDemand {
+        /// `(sample index, number of other jobs communicating there)` for
+        /// every sample where that number is non-zero, in sample order.
+        busy: Vec<(usize, u32)>,
+        /// `busy_before[i]`: how many of samples `0..i` are busy.
+        busy_before: Vec<u32>,
+        others_count: u64,
+        dt: f64,
+    }
+
+    impl SampledDemand {
+        fn new(others: &[PeriodicJob], horizon: f64, samples: usize) -> Self {
+            let profile = demand_profile(others, horizon, samples);
+            let mut busy = Vec::new();
+            let mut busy_before = vec![0];
+            let mut others_count = 0;
+            for (i, &d) in profile.iter().enumerate() {
+                if d > 0 {
+                    busy.push((i, d));
+                    others_count += u64::from(d - 1);
+                }
+                busy_before.push(busy.len() as u32);
+            }
+            Self {
+                busy,
+                busy_before,
+                others_count,
+                dt: horizon / samples as f64,
+            }
+        }
+
+        fn count_with(&self, runs: &[Range<usize>]) -> u64 {
+            let covered: u32 = runs
+                .iter()
+                .map(|r| self.busy_before[r.end] - self.busy_before[r.start])
+                .sum();
+            self.others_count + u64::from(covered)
+        }
+
+        /// Every busy sample in order, the candidate adding one where it
+        /// communicates, with the early exit at `bound`.
+        fn excess_with(&self, runs: &[Range<usize>], bound: f64) -> f64 {
+            let mut runs = runs.iter().peekable();
+            let mut excess = 0.0;
+            for &(i, base) in &self.busy {
+                while runs.next_if(|r| r.end <= i).is_some() {}
+                let d = base + u32::from(runs.peek().is_some_and(|r| r.start <= i));
+                if d >= 2 {
+                    excess += (d - 1) as f64 * self.dt;
+                    if excess >= bound {
+                        break;
+                    }
+                }
+            }
+            excess
+        }
+    }
+
+    /// Which edge cases a comparison against [`SampledDemand`] reached.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// Three or more jobs communicating at once, candidate included.
+        deep_overlap: bool,
+        /// The others' demand covers sample 0 or the last sample.
+        first_sample: bool,
+        last_sample: bool,
+        /// A finite bound cut a float sum short.
+        early_exit: bool,
+    }
+
+    /// For every grid candidate of `job` against `others`, the segment
+    /// count equals the per-sample count, and the float sum is bit-equal
+    /// with no bound and with the finite bounds the optimizer passes: the
+    /// previous candidate's sum less the descent margin, and fractions of
+    /// the candidate's own sum.
+    fn assert_matches_sampled(
+        others: &[PeriodicJob],
+        job: &PeriodicJob,
+        samples: usize,
+        grid: usize,
+    ) -> Reached {
+        let mut reached = Reached::default();
+        let mut mix = others.to_vec();
+        mix.push(*job);
+        let horizon = hyperperiod(&mix, 1e-6);
+        let segments = OthersDemand::new(others, horizon, samples);
+        let sampled = SampledDemand::new(others, horizon, samples);
+        if let (Some(first), Some(last)) = (segments.segments.first(), segments.segments.last()) {
+            reached.first_sample |= first.0 == 0;
+            reached.last_sample |= last.1 == samples;
+        }
+        let mut runs = Vec::new();
+        let mut previous = f64::INFINITY;
+        for g in 0..grid {
+            let cand = job.with_offset(job.period * g as f64 / grid as f64);
+            cand.comm_samples(horizon, samples, &mut runs);
+            assert_eq!(
+                segments.count_with(&runs),
+                sampled.count_with(&runs),
+                "candidate {g} of {job:?} against {others:?}"
+            );
+            let full = sampled.excess_with(&runs, f64::INFINITY);
+            for bound in [
+                f64::INFINITY,
+                previous - 1e-12,
+                full,
+                full / 2.0,
+                full / 3.0,
+            ] {
+                let got = segments.excess_with(&runs, bound);
+                assert_eq!(
+                    got.to_bits(),
+                    sampled.excess_with(&runs, bound).to_bits(),
+                    "candidate {g} bound {bound} of {job:?} against {others:?}"
+                );
+                reached.early_exit |= got < full;
+            }
+            previous = full;
+            let profile = demand_profile(&[cand], horizon, samples);
+            reached.deep_overlap |= sampled.busy.iter().any(|&(i, d)| d + profile[i] >= 3);
+        }
+        reached
+    }
+
+    /// Periods whose hyperperiods stay a few multiples of the longest.
+    const PERIODS: [f64; 6] = [1.0, 1.2, 1.5, 1.8, 2.0, 2.4];
+
+    proptest! {
+        /// Random 2–6-job mixes of 1–4 bursts and `a` up to 1, at offsets
+        /// of 0, just short of the period (runs wrapping round the
+        /// horizon's end) or anywhere between, at sample counts that do
+        /// and do not divide the horizon evenly.
+        #[test]
+        fn segments_match_the_sampled_profile(
+            mix in proptest::collection::vec(
+                (
+                    0usize..PERIODS.len(),
+                    prop_oneof![4 => 0.05f64..1.0, 1 => Just(1.0)],
+                    1u32..5,
+                    prop_oneof![1 => Just(0.0), 1 => Just(0.999), 2 => 0.0f64..1.0],
+                ),
+                2..7,
+            ),
+            samples in prop_oneof![Just(256usize), Just(1000), Just(1024)],
+        ) {
+            let jobs: Vec<PeriodicJob> = mix
+                .iter()
+                .map(|&(p, a, bursts, phase)| {
+                    PeriodicJob::new(PERIODS[p], a, phase * PERIODS[p])
+                        .unwrap()
+                        .with_bursts(bursts)
+                })
+                .collect();
+            for i in 0..jobs.len() {
+                let others: Vec<PeriodicJob> =
+                    jobs[..i].iter().chain(&jobs[i + 1..]).copied().collect();
+                assert_matches_sampled(&others, &jobs[i], samples, 48);
+            }
+        }
+    }
+
+    /// One fixed mix reaches every edge case the proptest draws: three
+    /// synchronized half-period jobs from sample 0, a job wrapping round
+    /// the horizon's end, and bounded sums cut short.
+    #[test]
+    fn sampled_oracle_reaches_every_edge_case() {
+        let others = [
+            job(1.0, 0.5),
+            job(1.0, 0.5).with_bursts(2),
+            job(1.2, 0.5),
+            PeriodicJob::new(1.8, 0.25, 1.7).unwrap(),
+        ];
+        let reached = assert_matches_sampled(&others, &job(1.5, 0.3), 1000, 60);
+        assert!(
+            reached.deep_overlap
+                && reached.first_sample
+                && reached.last_sample
+                && reached.early_exit,
+            "{reached:?}"
+        );
     }
 }

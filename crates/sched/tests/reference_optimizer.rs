@@ -1,9 +1,9 @@
 //! The Cassini optimizer against a reference model: the same scan with
 //! every candidate offset scored by a full contention evaluation, which
 //! re-samples every job over the hyperperiod. `optimize_offsets` scores
-//! candidates by exact excess counts against a cached demand profile of
-//! the other jobs and sums floats only to break ties, an optimisation of
-//! exactly that computation, so both must return bit-identical offsets
+//! candidates by exact excess counts against run-length segments of the
+//! other jobs' demand and sums floats only to break ties, an optimisation
+//! of exactly that computation, so both must return bit-identical offsets
 //! and reports on any mix.
 //!
 //! The reference samples phases with its own plain-`%` copy of

@@ -42,10 +42,10 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
 ///
 /// Values 0–7 are exact; beyond that each power-of-two decade splits
 /// into 4 linear sub-buckets, so relative quantile error stays under
-/// ~12.5% at any magnitude while the whole histogram is one flat array.
+/// ~12.5% at any magnitude while the whole histogram is one fixed array.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    counts: [u64; BUCKETS],
     count: u64,
     sum: u128,
     min: u64,
@@ -62,7 +62,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self {
-            counts: Vec::new(),
+            counts: [0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -72,15 +72,15 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: u64) {
-        let idx = bucket_index(v);
-        if self.counts.len() <= idx {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
+        self.counts[bucket_index(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        if v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
     }
 
     /// Number of observations.
@@ -223,6 +223,11 @@ impl MetricsRegistry {
         self.histograms[handle].value.observe(v);
     }
 
+    /// Replaces a histogram with one recorded elsewhere.
+    pub fn set_histogram(&mut self, handle: usize, h: Histogram) {
+        self.histograms[handle].value = h;
+    }
+
     /// Snapshots everything, name-sorted for deterministic output.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: Vec<(String, u64)> = self
@@ -333,22 +338,27 @@ impl MetricsSnapshot {
     }
 }
 
-/// A [`TelemetrySink`] that aggregates the event stream into a
-/// [`MetricsRegistry`]: per-kind event counters, per-reason drop
-/// counters, retransmit counters, per-flow RTT histograms, queue-depth
-/// histograms, and fault windows (brownout / link-downtime seconds).
+/// A [`TelemetrySink`] that aggregates the event stream into
+/// per-kind event counters, per-reason drop counters, retransmit
+/// counters, per-flow RTT histograms, queue-depth histograms, and fault
+/// windows (brownout / link-downtime seconds).
+///
+/// `record` folds each event into flat state: an array slot per event
+/// kind and drop reason, the two queue-depth histograms as fields, and
+/// the per-flow RTT histograms found by a scan of the few flows seen.
+/// [`snapshot`](Self::snapshot) names it all in a [`MetricsRegistry`].
 #[derive(Debug)]
 pub struct MetricsSink {
-    reg: MetricsRegistry,
-    kind_counters: [usize; EventKind::COUNT],
-    drop_counters: [usize; DropReason::ALL.len()],
-    drops_total: usize,
-    retx_fast: usize,
-    retx_rto: usize,
-    ecn_marks: usize,
-    qdepth_bytes: usize,
-    qdepth_pkts: usize,
-    rtt_by_flow: BTreeMap<u64, usize>,
+    /// Events per [`EventKind::index`].
+    kinds: [u64; EventKind::COUNT],
+    /// Drops per reason, in [`DropReason::ALL`] order.
+    drops: [u64; DropReason::ALL.len()],
+    retx_fast: u64,
+    retx_rto: u64,
+    qdepth_bytes: Histogram,
+    qdepth_pkts: Histogram,
+    /// RTT samples per flow, in the order flows first reported one.
+    rtt_by_flow: Vec<(u64, Histogram)>,
     /// Open brownout window start per link (RateFactor < 1 opens).
     brown_open: BTreeMap<u32, u64>,
     /// Accumulated brownout ns per link.
@@ -367,34 +377,16 @@ impl Default for MetricsSink {
 }
 
 impl MetricsSink {
-    /// A sink with the standard metric families pre-registered.
+    /// A sink with every counter at zero and no observations.
     pub fn new() -> Self {
-        let mut reg = MetricsRegistry::new();
-        let mut kind_counters = [0usize; EventKind::COUNT];
-        for k in EventKind::ALL {
-            kind_counters[k.index()] = reg.counter(&format!("events/{}", k.name()));
-        }
-        let mut drop_counters = [0usize; DropReason::ALL.len()];
-        for (i, r) in DropReason::ALL.into_iter().enumerate() {
-            drop_counters[i] = reg.counter(&format!("drops/{}", r.name()));
-        }
-        let drops_total = reg.counter("drops/total");
-        let retx_fast = reg.counter("retx/fast");
-        let retx_rto = reg.counter("retx/rto");
-        let ecn_marks = reg.counter("ecn/marks");
-        let qdepth_bytes = reg.histogram("queue/bytes");
-        let qdepth_pkts = reg.histogram("queue/pkts");
         Self {
-            reg,
-            kind_counters,
-            drop_counters,
-            drops_total,
-            retx_fast,
-            retx_rto,
-            ecn_marks,
-            qdepth_bytes,
-            qdepth_pkts,
-            rtt_by_flow: BTreeMap::new(),
+            kinds: [0; EventKind::COUNT],
+            drops: [0; DropReason::ALL.len()],
+            retx_fast: 0,
+            retx_rto: 0,
+            qdepth_bytes: Histogram::new(),
+            qdepth_pkts: Histogram::new(),
+            rtt_by_flow: Vec::new(),
             brown_open: BTreeMap::new(),
             brown_ns: BTreeMap::new(),
             down_open: BTreeMap::new(),
@@ -403,15 +395,8 @@ impl MetricsSink {
         }
     }
 
-    fn drop_reason_handle(&self, reason: DropReason) -> usize {
-        let i = DropReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.drop_counters[i]
-    }
-
-    /// Snapshots the registry plus the derived fault gauges.
+    /// Snapshots the counters and histograms plus the derived fault
+    /// gauges, name-sorted.
     ///
     /// Windows still open at the last observed event are closed at that
     /// timestamp. Brownout / downtime seconds are reported as the
@@ -419,7 +404,33 @@ impl MetricsSink {
     /// directions of the same bottleneck and summing would double-count
     /// the outage.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.reg.snapshot();
+        let mut reg = MetricsRegistry::new();
+        let mut count = |name: &str, n: u64| {
+            let h = reg.counter(name);
+            reg.inc(h, n);
+        };
+        for k in EventKind::ALL {
+            count(&format!("events/{}", k.name()), self.kinds[k.index()]);
+        }
+        for (r, &n) in DropReason::ALL.into_iter().zip(&self.drops) {
+            count(&format!("drops/{}", r.name()), n);
+        }
+        count("drops/total", self.kinds[EventKind::Drop.index()]);
+        count("retx/fast", self.retx_fast);
+        count("retx/rto", self.retx_rto);
+        count("ecn/marks", self.kinds[EventKind::EcnMark.index()]);
+        let histograms = [
+            ("queue/bytes".to_string(), &self.qdepth_bytes),
+            ("queue/pkts".to_string(), &self.qdepth_pkts),
+        ];
+        let rtt = self
+            .rtt_by_flow
+            .iter()
+            .map(|(flow, h)| (format!("rtt_ns/flow{flow}"), h));
+        for (name, h) in histograms.into_iter().chain(rtt) {
+            let handle = reg.histogram(&name);
+            reg.set_histogram(handle, h.clone());
+        }
         let close = |open: &BTreeMap<u32, u64>, acc: &BTreeMap<u32, u64>| -> f64 {
             let mut max_ns = 0u64;
             for (&link, &ns) in acc {
@@ -436,53 +447,47 @@ impl MetricsSink {
             }
             max_ns as f64 / 1e9
         };
-        snap.gauges.push((
-            "fault/brownout_s".to_string(),
-            close(&self.brown_open, &self.brown_ns),
-        ));
-        snap.gauges.push((
-            "fault/downtime_s".to_string(),
-            close(&self.down_open, &self.down_ns),
-        ));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
+        for (name, open, acc) in [
+            ("fault/brownout_s", &self.brown_open, &self.brown_ns),
+            ("fault/downtime_s", &self.down_open, &self.down_ns),
+        ] {
+            let g = reg.gauge(name);
+            reg.set(g, close(open, acc));
+        }
+        reg.snapshot()
     }
 }
 
 impl TelemetrySink for MetricsSink {
     fn record(&mut self, ev: &TelemetryEvent) {
         self.last_t = self.last_t.max(ev.t_ns());
-        self.reg.inc(self.kind_counters[ev.kind().index()], 1);
+        self.kinds[ev.kind().index()] += 1;
         match *ev {
             TelemetryEvent::Rtt { flow, rtt_ns, .. } => {
-                let h = match self.rtt_by_flow.get(&flow) {
-                    Some(&h) => h,
+                match self.rtt_by_flow.iter_mut().find(|(f, _)| *f == flow) {
+                    Some((_, h)) => h.observe(rtt_ns),
                     None => {
-                        let h = self.reg.histogram(&format!("rtt_ns/flow{flow}"));
-                        self.rtt_by_flow.insert(flow, h);
-                        h
+                        let mut h = Histogram::new();
+                        h.observe(rtt_ns);
+                        self.rtt_by_flow.push((flow, h));
                     }
-                };
-                self.reg.observe(h, rtt_ns);
-            }
-            TelemetryEvent::EcnMark { .. } => {
-                self.reg.inc(self.ecn_marks, 1);
+                }
             }
             TelemetryEvent::QueueDepth { bytes, packets, .. } => {
-                self.reg.observe(self.qdepth_bytes, bytes);
-                self.reg.observe(self.qdepth_pkts, packets as u64);
+                self.qdepth_bytes.observe(bytes);
+                self.qdepth_pkts.observe(packets as u64);
             }
             TelemetryEvent::Drop { reason, .. } => {
-                self.reg.inc(self.drop_reason_handle(reason), 1);
-                self.reg.inc(self.drops_total, 1);
+                let i = DropReason::ALL
+                    .iter()
+                    .position(|&r| r == reason)
+                    .expect("reason in ALL");
+                self.drops[i] += 1;
             }
-            TelemetryEvent::Retx { kind, .. } => {
-                let h = match kind {
-                    RetxKind::Fast => self.retx_fast,
-                    RetxKind::Rto => self.retx_rto,
-                };
-                self.reg.inc(h, 1);
-            }
+            TelemetryEvent::Retx { kind, .. } => match kind {
+                RetxKind::Fast => self.retx_fast += 1,
+                RetxKind::Rto => self.retx_rto += 1,
+            },
             TelemetryEvent::Fault {
                 t_ns,
                 link,
@@ -507,7 +512,8 @@ impl TelemetrySink for MetricsSink {
                 }
                 FaultKind::LossModel | FaultKind::LossRestore => {}
             },
-            TelemetryEvent::Cwnd { .. }
+            TelemetryEvent::EcnMark { .. }
+            | TelemetryEvent::Cwnd { .. }
             | TelemetryEvent::Gain { .. }
             | TelemetryEvent::Phase { .. } => {}
         }
@@ -627,6 +633,42 @@ mod tests {
         // Both directions browned out for the same 2 s: max, not sum.
         assert_eq!(snap.gauge("fault/brownout_s"), Some(2.0));
         assert_eq!(snap.gauge("fault/downtime_s"), Some(0.0));
+    }
+
+    #[test]
+    fn metrics_sink_keeps_a_histogram_per_flow_and_queue() {
+        let mut sink = MetricsSink::new();
+        for (flow, rtt_ns) in [(10, 80_000), (2, 90_000), (10, 100_000)] {
+            sink.record(&TelemetryEvent::Rtt {
+                t_ns: 1,
+                flow,
+                job: 0,
+                rtt_ns,
+            });
+        }
+        sink.record(&TelemetryEvent::QueueDepth {
+            t_ns: 2,
+            link: 0,
+            bytes: 3080,
+            packets: 2,
+        });
+        sink.record(&TelemetryEvent::EcnMark {
+            t_ns: 3,
+            link: 0,
+            flow: 2,
+        });
+        let snap = sink.snapshot();
+        let names: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["queue/bytes", "queue/pkts", "rtt_ns/flow10", "rtt_ns/flow2"]
+        );
+        let flow10 = snap.histogram("rtt_ns/flow10").unwrap();
+        assert_eq!((flow10.count, flow10.min, flow10.max), (2, 80_000, 100_000));
+        assert_eq!(snap.histogram("queue/pkts").unwrap().max, 2);
+        assert_eq!(snap.counter("events/rtt"), 3);
+        assert_eq!(snap.counter("ecn/marks"), 1);
+        assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
