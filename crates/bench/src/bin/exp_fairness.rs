@@ -30,9 +30,9 @@ use mltcp_netsim::sim::{Agent, AgentCtx, AgentId, Simulator};
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_netsim::topology::TopologyBuilder;
 use mltcp_transport::cc::{CongestionControl, Mltcp, MltcpConfig, Reno};
+use mltcp_transport::install_connection;
 use mltcp_transport::proto::{self, Msg};
 use mltcp_transport::sender::SenderConfig;
-use mltcp_transport::{TcpReceiver, TcpSender};
 use mltcp_workload::SweepRunner;
 
 const ITER_BYTES: u64 = 4_500_000; // 3000 MTU per iteration
@@ -97,10 +97,7 @@ fn run_flow(p: f64, cc: Box<dyn CongestionControl>, seed: u64) -> f64 {
     let mut cfg = SenderConfig::new(FlowId(1), h1);
     cfg.driver = Some(app);
     cfg.min_rto = SimDuration::micros(500);
-    let sender = sim.add_agent(h0, TcpSender::new_boxed(cfg, cc));
-    let receiver = sim.add_agent(h1, TcpReceiver::new(FlowId(1)));
-    sim.bind_flow(FlowId(1), sender);
-    sim.bind_flow(FlowId(1), receiver);
+    let sender = install_connection(&mut sim, h0, h1, cfg, cc).sender;
     sim.agent_mut::<PeriodicApp>(app).sender = Some(sender);
 
     mltcp_bench::attach_trace_sim(&mut sim, &format!("p{p}-s{seed}"));

@@ -10,6 +10,7 @@ use mltcp_sched::pfabric::apply_pfabric;
 use mltcp_workload::job::JobSpec;
 use mltcp_workload::models;
 use mltcp_workload::scenario::{CongestionSpec, LinkFault, Scenario, ScenarioBuilder};
+pub use mltcp_workload::stats::reconverge_after;
 use mltcp_workload::stats::JobReport;
 
 /// The pacing factor used by the enforced-Cassini runs: planned periods
@@ -243,41 +244,6 @@ impl PlanKind {
             PlanKind::Uniform(cc) => cc.label(),
             PlanKind::CassiniStatic => "cassini-static",
         }
-    }
-}
-
-/// Iterations a duration series needed to re-converge after a fault.
-///
-/// `fault_idx` is the first iteration whose duration could have been
-/// affected. The baseline is the mean of the (up to 5) durations
-/// immediately before it. Both sides are smoothed: the post-fault series
-/// is compared through a trailing 5-iteration mean, so a single noisy
-/// iteration neither triggers nor masks a violation. The answer counts
-/// post-fault iterations up to and including the *last* smoothed point
-/// exceeding `baseline × (1 + rel_tol)`. `Some(0)` = never perturbed
-/// beyond tolerance; `None` = no pre-fault baseline, or still violating
-/// at the end of the series (did not recover within the run).
-pub fn reconverge_after(durations: &[f64], fault_idx: usize, rel_tol: f64) -> Option<usize> {
-    const WINDOW: usize = 5;
-    if fault_idx == 0 || fault_idx >= durations.len() {
-        return None;
-    }
-    let pre = &durations[..fault_idx];
-    let take = pre.len().min(WINDOW);
-    let baseline: f64 = pre[pre.len() - take..].iter().sum::<f64>() / take as f64;
-    let bound = baseline * (1.0 + rel_tol);
-    let mut last_bad = None;
-    for i in fault_idx..durations.len() {
-        let lo = (i + 1).saturating_sub(WINDOW).max(fault_idx);
-        let smoothed: f64 = durations[lo..=i].iter().sum::<f64>() / (i + 1 - lo) as f64;
-        if smoothed > bound {
-            last_bad = Some(i);
-        }
-    }
-    match last_bad {
-        None => Some(0),
-        Some(i) if i + 1 < durations.len() => Some(i + 1 - fault_idx),
-        Some(_) => None,
     }
 }
 

@@ -34,11 +34,12 @@ use mltcp_telemetry::{
     DropReason, FaultKind, ProfileSnapshot, SimProfiler, TelemetryEvent, TelemetrySink,
 };
 use std::any::Any;
+use std::time::Instant;
 
 /// Labels for the sim-time profiler, in [`SimProfiler::record`] index
-/// order: one per event kind, plus agent start-up, plus the scheduler
-/// itself (`sched` times each successful `pop`, so engine overhead is
-/// attributed separately from dispatch work).
+/// order: one per event kind, plus agent start-up (counted, not timed),
+/// plus the scheduler itself (`sched` times successful pops, so engine
+/// overhead is attributed separately from dispatch work).
 const PROFILE_LABELS: [&str; 7] = [
     "channel_idle",
     "deliver",
@@ -54,6 +55,11 @@ const PROFILE_AGENT_START: usize = 5;
 
 /// Profiler label index for event-queue pops (scheduler overhead).
 const PROFILE_SCHED: usize = 6;
+
+/// Wall-clock nanoseconds since `t0`, for a profiler sample.
+fn elapsed_ns(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos() as u64
+}
 
 /// The token [`Agent::on_timer`] receives when the agent's timer slot
 /// fires (see [`AgentCtx::rearm_timer`]). [`AgentCtx::set_timer`] must
@@ -699,11 +705,14 @@ impl Simulator {
         Some(sink)
     }
 
-    /// Enables the sim-time profiler: every subsequent dispatch is
-    /// timed with a wall clock and attributed to its event kind, and
-    /// every pop to `sched`. This costs four `Instant` reads per event
-    /// (two in the dispatch, two in the pop), so it is off by default and
-    /// intended for per-layer diagnosis (`perfbench`), not routine runs. It
+    /// Enables the sim-time profiler. Every subsequent pop is counted
+    /// under `sched` and every dispatch under its event kind, and agent
+    /// start-ups under `agent_start`. Only a sample is timed: the first
+    /// event of each label, then one in every
+    /// [`SAMPLE_STRIDE`](mltcp_telemetry::profiler::SAMPLE_STRIDE), each
+    /// with two `Instant` reads; a label's time is its sampled mean times
+    /// its exact count. Agent start-ups are never timed. The pop and the
+    /// dispatch run the same step as an unprofiled run, so profiling
     /// never affects simulation results — only wall-clock accounting.
     pub fn enable_profiler(&mut self) {
         self.profiler = Some(SimProfiler::new(&PROFILE_LABELS));
@@ -765,10 +774,9 @@ impl Simulator {
         }
         self.started = true;
         for i in 0..self.agents.len() {
-            let t0 = self.profiler.is_some().then(std::time::Instant::now);
             self.with_agent(i, |agent, ctx| agent.start(ctx));
-            if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
-                p.record(PROFILE_AGENT_START, t0.elapsed().as_nanos() as u64);
+            if let Some(p) = self.profiler.as_mut() {
+                p.record(PROFILE_AGENT_START, None);
             }
         }
     }
@@ -804,30 +812,20 @@ impl Simulator {
     /// fields go from its rail entry to the handler without a [`Popped`]
     /// stored and reloaded in between (see [`crate::event`], *Event
     /// size*).
-    fn step(&mut self, deadline: SimTime) -> bool {
-        if self.profiler.is_some() {
-            return self.step_profiled(deadline);
-        }
-        match self.core.events.pop_event_before(deadline) {
-            Some(ev) => {
-                self.dispatch(ev);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// [`Simulator::step`] with wall-clock attribution: the pop to the
-    /// `sched` label, the dispatch to its event kind's. Only successful
-    /// pops are recorded, so `sched.events` matches the dispatched-event
-    /// count.
-    #[inline(never)]
-    fn step_profiled(&mut self, deadline: SimTime) -> bool {
-        let t0 = std::time::Instant::now();
+    ///
+    /// `PROFILED` is set when the profiler is on: every successful pop is
+    /// then counted under `sched` and every event under its kind, and
+    /// the profiler's sampled ones are timed (see [`SimProfiler::due`]).
+    /// Off, every profiler branch folds away.
+    fn step<const PROFILED: bool>(&mut self, deadline: SimTime) -> bool {
+        let pop_start = (PROFILED && self.profiler().due(PROFILE_SCHED)).then(Instant::now);
         let Some(ev) = self.core.events.pop_event_before(deadline) else {
             return false;
         };
-        let ns = t0.elapsed().as_nanos() as u64;
+        if !PROFILED {
+            self.dispatch(ev);
+            return true;
+        }
         // Label indices match PROFILE_LABELS order.
         let label = match ev.kind {
             PoppedKind::ChannelIdle { .. } => 0,
@@ -836,14 +834,30 @@ impl Simulator {
             PoppedKind::Message { .. } => 3,
             PoppedKind::Fault { .. } => 4,
         };
-        let t0 = std::time::Instant::now();
+        let p = self.profiler();
+        p.record(PROFILE_SCHED, pop_start.map(elapsed_ns));
+        let dispatch_start = p.due(label).then(Instant::now);
         self.dispatch(ev);
-        let dispatch_ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(PROFILE_SCHED, ns);
-            p.record(label, dispatch_ns);
-        }
+        self.profiler()
+            .record(label, dispatch_start.map(elapsed_ns));
         true
+    }
+
+    /// The profiler, which a profiled [`Simulator::step`] requires.
+    fn profiler(&mut self) -> &mut SimProfiler {
+        self.profiler.as_mut().expect("profiler enabled")
+    }
+
+    /// Steps until the queue drains or the next event is past
+    /// `deadline`, with the profiler's branches compiled in only when it
+    /// is on.
+    fn step_until(&mut self, deadline: SimTime) {
+        self.start_agents();
+        if self.profiler.is_some() {
+            while self.step::<true>(deadline) {}
+        } else {
+            while self.step::<false>(deadline) {}
+        }
     }
 
     /// Dispatches one popped event at its `(time, seq)`.
@@ -919,16 +933,14 @@ impl Simulator {
     /// Runs until the event queue drains. Calls every agent's
     /// [`Agent::start`] first.
     pub fn run(&mut self) {
-        self.start_agents();
-        while self.step(SimTime::MAX) {}
+        self.step_until(SimTime::MAX);
     }
 
     /// Runs until the queue drains or simulated time would pass
     /// `deadline`; events after the deadline remain queued (the clock is
     /// left at `deadline` if the first pending event is later).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.start_agents();
-        while self.step(deadline) {}
+        self.step_until(deadline);
         if self.core.now < deadline {
             self.core.now = deadline;
         }
@@ -942,6 +954,7 @@ mod tests {
     use crate::packet::SegmentHeader;
     use crate::queue::QueueKind;
     use crate::topology::TopologyBuilder;
+    use mltcp_telemetry::profiler::SAMPLE_STRIDE;
 
     /// Sends `pkts` MTU packets at start; counts echoes back.
     struct Pinger {
@@ -1406,10 +1419,8 @@ mod tests {
         // once to the scheduler pop that produced it — plus agent starts.
         let sched = snap.find("sched").expect("sched label");
         assert_eq!(sched.events, sim.stats().events);
-        assert_eq!(
-            snap.total_events(),
-            2 * sim.stats().events + agent_starts.events
-        );
+        let total: u64 = snap.entries.iter().map(|e| e.events).sum();
+        assert_eq!(total, 2 * sim.stats().events + agent_starts.events);
         let delivers = snap.find("deliver").unwrap();
         assert_eq!(delivers.events, 20); // 10 data + 10 acks
 
@@ -1801,6 +1812,101 @@ mod tests {
         );
         sim.run();
         assert_eq!(sim.agent::<Caller>(caller).replies, 1);
+    }
+
+    /// A mix with every event kind: a lossy ping flow through a link
+    /// flap and a bursty-loss window (deliveries, departures, faults), a
+    /// re-armed timer slot, one-shot timers and a message round trip.
+    /// Runs in two `run_until` slices, then to the end, and returns the
+    /// simulator with everything its agents observed.
+    fn profiled_mix(profiled: bool) -> (Simulator, impl PartialEq + std::fmt::Debug) {
+        let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.05);
+        let dog = sim.add_agent(
+            h0,
+            Watchdog {
+                peer: h1,
+                pkts: 300,
+                rearms: vec![],
+                fired: vec![],
+            },
+        );
+        let echoer = sim.add_agent(h1, Echoer { received: 0 });
+        sim.bind_flow(FlowId(1), dog);
+        sim.bind_flow(FlowId(1), echoer);
+        let timers = sim.add_agent(h0, TimerAgent { fired: vec![] });
+        let callee = sim.add_agent(
+            h1,
+            Caller {
+                callee: None,
+                replies: 0,
+            },
+        );
+        let caller = sim.add_agent(
+            h0,
+            Caller {
+                callee: Some(callee),
+                replies: 0,
+            },
+        );
+        let plan = FaultPlan::new()
+            .link_flap(
+                LinkId(0),
+                SimTime::from_secs_f64(400e-6),
+                SimDuration::micros(300),
+            )
+            .loss_window(
+                LinkId(0),
+                SimTime::from_secs_f64(1.5e-3),
+                SimDuration::micros(500),
+                LossModel::GilbertElliott(GilbertElliott::bursty(0.2, 0.3, 0.9)),
+            );
+        sim.install_faults(&plan);
+        if profiled {
+            sim.enable_profiler();
+        }
+        sim.run_until(SimTime(1_000_000));
+        sim.run_until(SimTime(2_000_000));
+        sim.run();
+        let w = sim.agent::<Watchdog>(dog);
+        let seen = (
+            (w.rearms.clone(), w.fired.clone()),
+            sim.agent::<Echoer>(echoer).received,
+            sim.agent::<TimerAgent>(timers).fired.clone(),
+            sim.agent::<Caller>(caller).replies,
+        );
+        (sim, seen)
+    }
+
+    /// Counts stay exact, and every kind that occurs is timed at least
+    /// once — the rare ones through their first event.
+    #[test]
+    fn profiler_times_a_sample_of_every_kind() {
+        let (sim, _) = profiled_mix(true);
+        let snap = sim.profile_snapshot().expect("profiler enabled");
+        for label in ["channel_idle", "deliver", "timer", "message", "fault"] {
+            let e = snap.find(label).unwrap();
+            assert!(e.events > 0, "the mix has no {label} event");
+            assert!(e.samples > 0, "{label}: {e:?}");
+        }
+        let sched = snap.find("sched").unwrap();
+        assert_eq!(sched.events, sim.stats().events);
+        assert!(sched.samples >= sched.events / SAMPLE_STRIDE, "{sched:?}");
+        assert!(sched.samples < sched.events, "every pop was timed");
+        let agent_starts = snap.find("agent_start").unwrap();
+        assert_eq!((agent_starts.events, agent_starts.samples), (5, 0));
+    }
+
+    /// Profiling runs the same step: a profiled and an unprofiled run of
+    /// the same mix end in the same state.
+    #[test]
+    fn profiled_run_matches_unprofiled_run() {
+        let (plain, plain_seen) = profiled_mix(false);
+        let (profiled, profiled_seen) = profiled_mix(true);
+        assert!(plain.profile_snapshot().is_none());
+        assert_eq!(plain.stats(), profiled.stats());
+        assert_eq!(plain.now(), profiled.now());
+        assert_eq!(plain_seen, profiled_seen);
+        assert!(plain.stats().dropped > 0, "the mix should lose packets");
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub mod sink;
 pub use event::{DropReason, EventKind, FaultKind, PhaseKind, RetxKind, TelemetryEvent};
 pub use json::Json;
 pub use jsonl::{JsonlSink, Trace, TraceError};
-pub use metrics::{HistSummary, Histogram, MetricsRegistry, MetricsSink, MetricsSnapshot};
+pub use metrics::{HistSummary, Histogram, MetricsSink, MetricsSnapshot};
 pub use profiler::{ProfileEntry, ProfileSnapshot, SimProfiler};
 pub use sink::{take_metrics, NoopSink, RingRecorder, TeeSink, TelemetrySink};

@@ -1,6 +1,6 @@
-//! Metrics registry: monotonic counters, gauges, and log-linear
-//! histograms, snapshotted per scenario and serialized alongside bench
-//! results.
+//! Metrics: monotonic counters, gauges, and log-linear histograms,
+//! aggregated by [`MetricsSink`], snapshotted per scenario and
+//! serialized alongside bench results.
 
 use crate::event::{DropReason, EventKind, FaultKind, RetxKind, TelemetryEvent};
 use crate::json::{push_f64, push_string};
@@ -148,115 +148,7 @@ pub struct HistSummary {
     pub p99: f64,
 }
 
-#[derive(Debug, Clone)]
-struct Named<T> {
-    name: String,
-    value: T,
-}
-
-/// A registry of named counters, gauges, and histograms with cheap
-/// handle-based updates (`usize` indices; no lookup on the hot path).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<Named<u64>>,
-    gauges: Vec<Named<f64>>,
-    histograms: Vec<Named<Histogram>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or finds) a monotonic counter; returns its handle.
-    pub fn counter(&mut self, name: &str) -> usize {
-        if let Some(i) = self.counters.iter().position(|n| n.name == name) {
-            return i;
-        }
-        self.counters.push(Named {
-            name: name.to_string(),
-            value: 0,
-        });
-        self.counters.len() - 1
-    }
-
-    /// Registers (or finds) a gauge; returns its handle.
-    pub fn gauge(&mut self, name: &str) -> usize {
-        if let Some(i) = self.gauges.iter().position(|n| n.name == name) {
-            return i;
-        }
-        self.gauges.push(Named {
-            name: name.to_string(),
-            value: 0.0,
-        });
-        self.gauges.len() - 1
-    }
-
-    /// Registers (or finds) a histogram; returns its handle.
-    pub fn histogram(&mut self, name: &str) -> usize {
-        if let Some(i) = self.histograms.iter().position(|n| n.name == name) {
-            return i;
-        }
-        self.histograms.push(Named {
-            name: name.to_string(),
-            value: Histogram::new(),
-        });
-        self.histograms.len() - 1
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn inc(&mut self, handle: usize, n: u64) {
-        self.counters[handle].value += n;
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set(&mut self, handle: usize, v: f64) {
-        self.gauges[handle].value = v;
-    }
-
-    /// Records a histogram observation.
-    #[inline]
-    pub fn observe(&mut self, handle: usize, v: u64) {
-        self.histograms[handle].value.observe(v);
-    }
-
-    /// Replaces a histogram with one recorded elsewhere.
-    pub fn set_histogram(&mut self, handle: usize, h: Histogram) {
-        self.histograms[handle].value = h;
-    }
-
-    /// Snapshots everything, name-sorted for deterministic output.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .iter()
-            .map(|n| (n.name.clone(), n.value))
-            .collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut gauges: Vec<(String, f64)> = self
-            .gauges
-            .iter()
-            .map(|n| (n.name.clone(), n.value))
-            .collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, HistSummary)> = self
-            .histograms
-            .iter()
-            .map(|n| (n.name.clone(), n.value.summary()))
-            .collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-}
-
-/// A name-sorted, plain-data snapshot of a [`MetricsRegistry`].
+/// A name-sorted, plain-data snapshot of a [`MetricsSink`].
 /// `Clone + Send`, so sweep workers can hand it across threads.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -346,7 +238,7 @@ impl MetricsSnapshot {
 /// `record` folds each event into flat state: an array slot per event
 /// kind and drop reason, the two queue-depth histograms as fields, and
 /// the per-flow RTT histograms found by a scan of the few flows seen.
-/// [`snapshot`](Self::snapshot) names it all in a [`MetricsRegistry`].
+/// [`snapshot`](Self::snapshot) names it all, name-sorted.
 #[derive(Debug)]
 pub struct MetricsSink {
     /// Events per [`EventKind::index`].
@@ -404,32 +296,27 @@ impl MetricsSink {
     /// directions of the same bottleneck and summing would double-count
     /// the outage.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut reg = MetricsRegistry::new();
-        let mut count = |name: &str, n: u64| {
-            let h = reg.counter(name);
-            reg.inc(h, n);
-        };
+        let mut counters = Vec::new();
         for k in EventKind::ALL {
-            count(&format!("events/{}", k.name()), self.kinds[k.index()]);
+            counters.push((format!("events/{}", k.name()), self.kinds[k.index()]));
         }
         for (r, &n) in DropReason::ALL.into_iter().zip(&self.drops) {
-            count(&format!("drops/{}", r.name()), n);
+            counters.push((format!("drops/{}", r.name()), n));
         }
-        count("drops/total", self.kinds[EventKind::Drop.index()]);
-        count("retx/fast", self.retx_fast);
-        count("retx/rto", self.retx_rto);
-        count("ecn/marks", self.kinds[EventKind::EcnMark.index()]);
-        let histograms = [
-            ("queue/bytes".to_string(), &self.qdepth_bytes),
-            ("queue/pkts".to_string(), &self.qdepth_pkts),
+        for (name, n) in [
+            ("drops/total", self.kinds[EventKind::Drop.index()]),
+            ("retx/fast", self.retx_fast),
+            ("retx/rto", self.retx_rto),
+            ("ecn/marks", self.kinds[EventKind::EcnMark.index()]),
+        ] {
+            counters.push((name.to_string(), n));
+        }
+        let mut histograms = vec![
+            ("queue/bytes".to_string(), self.qdepth_bytes.summary()),
+            ("queue/pkts".to_string(), self.qdepth_pkts.summary()),
         ];
-        let rtt = self
-            .rtt_by_flow
-            .iter()
-            .map(|(flow, h)| (format!("rtt_ns/flow{flow}"), h));
-        for (name, h) in histograms.into_iter().chain(rtt) {
-            let handle = reg.histogram(&name);
-            reg.set_histogram(handle, h.clone());
+        for (flow, h) in &self.rtt_by_flow {
+            histograms.push((format!("rtt_ns/flow{flow}"), h.summary()));
         }
         let close = |open: &BTreeMap<u32, u64>, acc: &BTreeMap<u32, u64>| -> f64 {
             let mut max_ns = 0u64;
@@ -447,14 +334,23 @@ impl MetricsSink {
             }
             max_ns as f64 / 1e9
         };
-        for (name, open, acc) in [
-            ("fault/brownout_s", &self.brown_open, &self.brown_ns),
-            ("fault/downtime_s", &self.down_open, &self.down_ns),
-        ] {
-            let g = reg.gauge(name);
-            reg.set(g, close(open, acc));
+        let gauges = vec![
+            (
+                "fault/brownout_s".to_string(),
+                close(&self.brown_open, &self.brown_ns),
+            ),
+            (
+                "fault/downtime_s".to_string(),
+                close(&self.down_open, &self.down_ns),
+            ),
+        ];
+        counters.sort_by(|a, b| a.0.cmp(&b.0));
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
         }
-        reg.snapshot()
     }
 }
 
@@ -564,25 +460,37 @@ mod tests {
         assert!(rel(s.mean, 500_500.0) < 0.01, "mean = {}", s.mean);
     }
 
+    /// A snapshot looks its entries up by name, and a sink's snapshot
+    /// lists every section name-sorted.
     #[test]
     fn registry_handles_and_snapshot_sorted() {
-        let mut reg = MetricsRegistry::new();
-        let b = reg.counter("b");
-        let a = reg.counter("a");
-        assert_eq!(reg.counter("b"), b, "re-registration returns same handle");
-        reg.inc(b, 2);
-        reg.inc(a, 1);
-        let g = reg.gauge("g");
-        reg.set(g, 2.5);
-        let h = reg.histogram("h");
-        reg.observe(h, 7);
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"]);
+        let mut h = Histogram::new();
+        h.observe(7);
+        let snap = MetricsSnapshot {
+            counters: vec![("a".into(), 1), ("b".into(), 2)],
+            gauges: vec![("g".into(), 2.5)],
+            histograms: vec![("h".into(), h.summary())],
+        };
         assert_eq!(snap.counter("b"), 2);
+        assert_eq!(snap.counter("absent"), 0);
         assert_eq!(snap.gauge("g"), Some(2.5));
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         assert!(snap.to_json().contains("\"counters\""));
+
+        let mut sink = MetricsSink::new();
+        for flow in [30, 4, 200] {
+            sink.record(&TelemetryEvent::Rtt {
+                t_ns: 1,
+                flow,
+                job: 0,
+                rtt_ns: 5,
+            });
+        }
+        let snap = sink.snapshot();
+        assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(snap.gauges.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(snap.histograms.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(snap.histograms.len(), 5);
     }
 
     #[test]
@@ -694,23 +602,21 @@ mod tests {
     /// integral and a NaN gauge, and a histogram.
     #[test]
     fn snapshot_json_matches_golden() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("drops/\"q\"\\\u{1}");
-        reg.inc(c, 3);
-        let g = reg.gauge("fault/brownout_s");
-        reg.set(g, 2.0);
-        let nan = reg.gauge("ratio");
-        reg.set(nan, f64::NAN);
-        let h = reg.histogram("rtt_ns");
+        let mut h = Histogram::new();
         for v in [7, 1000, 84_000] {
-            reg.observe(h, v);
+            h.observe(v);
         }
+        let snap = MetricsSnapshot {
+            counters: vec![("drops/\"q\"\\\u{1}".into(), 3)],
+            gauges: vec![("fault/brownout_s".into(), 2.0), ("ratio".into(), f64::NAN)],
+            histograms: vec![("rtt_ns".into(), h.summary())],
+        };
         let golden = concat!(
             r#"{"counters":{"drops/\"q\"\\\u0001":3},"#,
             r#""gauges":{"fault/brownout_s":2,"ratio":null},"#,
             r#""histograms":{"rtt_ns":{"count":3,"min":7,"max":84000,"#,
             r#""mean":28335.666666666668,"p50":959.5,"p90":959.5,"p99":959.5}}}"#,
         );
-        assert_eq!(reg.snapshot().to_json(), golden);
+        assert_eq!(snap.to_json(), golden);
     }
 }

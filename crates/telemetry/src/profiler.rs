@@ -1,17 +1,28 @@
 //! Sim-time profiler: attributes wall-clock nanoseconds to simulator
 //! event kinds / phases so throughput regressions become explainable.
 //!
-//! The profiler itself holds no clock — the simulator measures each
-//! dispatch with `std::time::Instant` and calls [`SimProfiler::record`]
-//! with a label index and elapsed nanoseconds. That keeps this crate
-//! free of timing policy and the profiler trivially testable.
+//! Every event is counted, but only a sample is timed: the first event
+//! of each label and then one in every [`SAMPLE_STRIDE`]. A label's
+//! attributed time is its sampled mean times its exact count, so a rare
+//! label still gets a sample while a hot one pays for a clock read on a
+//! small fraction of its events.
+//!
+//! The profiler itself holds no clock — the simulator asks
+//! [`SimProfiler::due`] whether to time an event, measures it with
+//! `std::time::Instant`, and calls [`SimProfiler::record`]. That keeps
+//! this crate free of timing policy and the profiler trivially testable.
 
-/// Accumulates per-label event counts and wall-clock nanoseconds.
+/// One event in every `SAMPLE_STRIDE` of a label is timed (a power of
+/// two, so the test is a mask).
+pub const SAMPLE_STRIDE: u64 = 64;
+
+/// Accumulates per-label event counts and sampled wall-clock nanoseconds.
 #[derive(Debug, Clone)]
 pub struct SimProfiler {
     labels: Vec<&'static str>,
     events: Vec<u64>,
-    nanos: Vec<u64>,
+    samples: Vec<u64>,
+    sampled_nanos: Vec<u64>,
 }
 
 impl SimProfiler {
@@ -20,41 +31,48 @@ impl SimProfiler {
         Self {
             labels: labels.to_vec(),
             events: vec![0; labels.len()],
-            nanos: vec![0; labels.len()],
+            samples: vec![0; labels.len()],
+            sampled_nanos: vec![0; labels.len()],
         }
     }
 
-    /// Number of labels.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// True when constructed with no labels.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Adds one event of `elapsed_ns` wall-clock under label `idx`.
+    /// Whether the next event under label `idx` is to be timed: the
+    /// first one, then one in every [`SAMPLE_STRIDE`].
     #[inline]
-    pub fn record(&mut self, idx: usize, elapsed_ns: u64) {
+    pub fn due(&self, idx: usize) -> bool {
+        self.events[idx] & (SAMPLE_STRIDE - 1) == 0
+    }
+
+    /// Counts one event under label `idx`, with its wall-clock
+    /// nanoseconds when it was timed.
+    #[inline]
+    pub fn record(&mut self, idx: usize, timed_ns: Option<u64>) {
         self.events[idx] += 1;
-        self.nanos[idx] += elapsed_ns;
+        if let Some(ns) = timed_ns {
+            self.samples[idx] += 1;
+            self.sampled_nanos[idx] += ns;
+        }
     }
 
     /// Snapshots the accumulated attribution.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot {
-            entries: self
-                .labels
-                .iter()
-                .zip(self.events.iter().zip(self.nanos.iter()))
-                .map(|(&label, (&events, &nanos))| ProfileEntry {
-                    label,
+        let entries = (0..self.labels.len())
+            .map(|i| {
+                let (events, samples) = (self.events[i], self.samples[i]);
+                let nanos = if samples == 0 {
+                    0
+                } else {
+                    (self.sampled_nanos[i] as u128 * events as u128 / samples as u128) as u64
+                };
+                ProfileEntry {
+                    label: self.labels[i],
                     events,
+                    samples,
                     nanos,
-                })
-                .collect(),
-        }
+                }
+            })
+            .collect();
+        ProfileSnapshot { entries }
     }
 }
 
@@ -63,21 +81,13 @@ impl SimProfiler {
 pub struct ProfileEntry {
     /// The label (e.g. `"deliver"`).
     pub label: &'static str,
-    /// Events attributed to it.
+    /// Events attributed to it, every one counted.
     pub events: u64,
-    /// Wall-clock nanoseconds attributed to it.
+    /// How many of those events were timed.
+    pub samples: u64,
+    /// Estimated wall-clock nanoseconds: the timed events' mean times
+    /// `events` (0 when none was timed).
     pub nanos: u64,
-}
-
-impl ProfileEntry {
-    /// Mean nanoseconds per event (0 when no events).
-    pub fn ns_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.nanos as f64 / self.events as f64
-        }
-    }
 }
 
 /// A snapshot of a [`SimProfiler`], ready for reporting.
@@ -88,36 +98,9 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// Total events across all labels.
-    pub fn total_events(&self) -> u64 {
-        self.entries.iter().map(|e| e.events).sum()
-    }
-
-    /// Total attributed wall-clock nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.entries.iter().map(|e| e.nanos).sum()
-    }
-
-    /// An entry's share of total attributed time, in `[0, 1]`.
-    pub fn share(&self, entry: &ProfileEntry) -> f64 {
-        let total = self.total_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            entry.nanos as f64 / total as f64
-        }
-    }
-
     /// The entry for `label`, if one was registered.
     pub fn find(&self, label: &str) -> Option<&ProfileEntry> {
         self.entries.iter().find(|e| e.label == label)
-    }
-
-    /// Entries sorted by attributed time, busiest first.
-    pub fn by_time(&self) -> Vec<ProfileEntry> {
-        let mut out = self.entries.clone();
-        out.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(a.label.cmp(b.label)));
-        out
     }
 }
 
@@ -128,36 +111,35 @@ mod tests {
     #[test]
     fn records_and_attributes_shares() {
         let mut p = SimProfiler::new(&["deliver", "timer"]);
-        p.record(0, 300);
-        p.record(0, 100);
-        p.record(1, 100);
+        let mut timed = 0;
+        for i in 0..2 * SAMPLE_STRIDE + 1 {
+            let due = p.due(0);
+            assert_eq!(due, i % SAMPLE_STRIDE == 0, "event {i}");
+            timed += u64::from(due);
+            p.record(0, due.then_some(100 + i));
+        }
+        p.record(1, None);
         let snap = p.snapshot();
-        assert_eq!(snap.total_events(), 3);
-        assert_eq!(snap.total_nanos(), 500);
         let deliver = snap.entries[0];
         assert_eq!(deliver.label, "deliver");
-        assert_eq!(deliver.events, 2);
-        assert_eq!(deliver.ns_per_event(), 200.0);
-        assert!((snap.share(&deliver) - 0.8).abs() < 1e-12);
-        let busiest = snap.by_time();
-        assert_eq!(busiest[0].label, "deliver");
-        assert_eq!(snap.find("timer").unwrap().events, 1);
+        assert_eq!(
+            (deliver.events, deliver.samples),
+            (2 * SAMPLE_STRIDE + 1, timed)
+        );
+        // Samples at events 0, 64 and 128 took 100, 164 and 228 ns: a
+        // mean of 164 ns over 129 events.
+        assert_eq!(deliver.nanos, 164 * (2 * SAMPLE_STRIDE + 1));
+        let timer = snap.find("timer").unwrap();
+        assert_eq!((timer.events, timer.samples, timer.nanos), (1, 0, 0));
         assert!(snap.find("nope").is_none());
     }
 
     #[test]
     fn empty_profiler_is_safe() {
         let p = SimProfiler::new(&[]);
-        assert!(p.is_empty());
-        let snap = p.snapshot();
-        assert_eq!(snap.total_events(), 0);
-        assert_eq!(
-            snap.share(&ProfileEntry {
-                label: "x",
-                events: 0,
-                nanos: 0
-            }),
-            0.0
-        );
+        assert!(p.snapshot().entries.is_empty());
+        let q = SimProfiler::new(&["idle"]);
+        assert!(q.due(0));
+        assert_eq!(q.snapshot().entries[0].nanos, 0);
     }
 }

@@ -19,14 +19,15 @@ pub struct ConnectionHandles {
 }
 
 /// Installs a one-directional TCP connection `src → dst` with the given
-/// congestion controller, binding the flow at both hosts. The returned
-/// sender accepts [`crate::proto::Msg::StartTransfer`] messages.
+/// congestion controller: adds the sender, then the receiver, then binds
+/// the flow at both hosts in that order. The returned sender accepts
+/// [`crate::proto::Msg::StartTransfer`] messages.
 pub fn install_connection(
     sim: &mut Simulator,
     src: NodeId,
     dst: NodeId,
     cfg: SenderConfig,
-    cc: impl CongestionControl,
+    cc: Box<dyn CongestionControl>,
 ) -> ConnectionHandles {
     assert_eq!(cfg.dst, dst, "config destination must match dst host");
     let flow = cfg.flow;
@@ -59,7 +60,7 @@ mod tests {
         );
         let mut sim = Simulator::new(b.build().unwrap(), 0);
         let cfg = SenderConfig::new(FlowId(7), h1);
-        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
         assert_eq!(h.flow, FlowId(7));
         assert_ne!(h.sender, h.receiver);
     }
@@ -83,6 +84,6 @@ mod tests {
         );
         let mut sim = Simulator::new(b.build().unwrap(), 0);
         let cfg = SenderConfig::new(FlowId(7), h2);
-        install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
     }
 }

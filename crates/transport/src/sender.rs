@@ -168,14 +168,9 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    /// Creates a sender with the given congestion controller.
-    pub fn new(cfg: SenderConfig, cc: impl CongestionControl) -> Self {
-        Self::new_boxed(cfg, Box::new(cc))
-    }
-
-    /// Creates a sender from an already-boxed controller (used by config
-    /// tables that choose the algorithm at runtime).
-    pub fn new_boxed(cfg: SenderConfig, cc: Box<dyn CongestionControl>) -> Self {
+    /// Creates a sender with the given congestion controller, boxed so
+    /// that callers can choose the algorithm at runtime.
+    pub fn new(cfg: SenderConfig, cc: Box<dyn CongestionControl>) -> Self {
         let initial = cfg.initial_cwnd;
         let initial_rto = cfg
             .initial_rto
@@ -595,7 +590,7 @@ mod tests {
         cfg.min_rto = SimDuration::micros(200);
         cfg.max_rto = SimDuration::millis(1);
         cfg.initial_rto = Some(SimDuration::micros(500));
-        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
         sim.agent_mut::<OneShot>(driver).sender = Some(h.sender);
         sim.run();
 

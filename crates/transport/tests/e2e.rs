@@ -57,7 +57,7 @@ fn one_flow_sim(loss: f64, queue: QueueKind) -> (Simulator, AgentId, AgentId /* 
     );
     let mut cfg = SenderConfig::new(FlowId(1), h1);
     cfg.driver = Some(driver);
-    let handles = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+    let handles = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
     sim.agent_mut::<OneShotDriver>(driver).sender = Some(handles.sender);
     (sim, driver, handles.sender)
 }
@@ -142,7 +142,13 @@ fn two_reno_flows_share_a_bottleneck_roughly_fairly() {
         );
         let mut cfg = SenderConfig::new(FlowId(i as u64 + 1), d.receivers[i]);
         cfg.driver = Some(driver);
-        let h = install_connection(&mut sim, d.senders[i], d.receivers[i], cfg, Reno::new());
+        let h = install_connection(
+            &mut sim,
+            d.senders[i],
+            d.receivers[i],
+            cfg,
+            Box::new(Reno::new()),
+        );
         sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
         handles.push((driver, h));
     }
@@ -181,7 +187,7 @@ fn cubic_and_dctcp_complete_transfers() {
         );
         let mut cfg = SenderConfig::new(FlowId(1), h1);
         cfg.driver = Some(driver);
-        let h = install_connection(&mut sim, h0, h1, cfg, Cubic::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Cubic::new()));
         sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
         sim.run();
         assert!(sim.agent::<OneShotDriver>(driver).done_at.is_some());
@@ -210,7 +216,7 @@ fn cubic_and_dctcp_complete_transfers() {
         let mut cfg = SenderConfig::new(FlowId(1), h1);
         cfg.driver = Some(driver);
         cfg.ecn = true;
-        let h = install_connection(&mut sim, h0, h1, cfg, Dctcp::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Dctcp::new()));
         sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
         sim.run();
         assert!(sim.agent::<OneShotDriver>(driver).done_at.is_some());
@@ -297,7 +303,7 @@ fn mltcp_tracker_follows_iterations_end_to_end() {
     let mut cfg = SenderConfig::new(FlowId(1), h1);
     cfg.driver = Some(driver);
     let cc = Mltcp::paper(Reno::new(), bytes, SimDuration::millis(10));
-    let h = install_connection(&mut sim, h0, h1, cfg, cc);
+    let h = install_connection(&mut sim, h0, h1, cfg, Box::new(cc));
     sim.agent_mut::<IterDriver>(driver).sender = Some(h.sender);
     sim.run();
 
@@ -336,7 +342,7 @@ fn pfabric_priority_tags_decrease_with_progress() {
     let mut cfg = SenderConfig::new(FlowId(1), h1);
     cfg.driver = Some(driver);
     cfg.priority = PriorityPolicy::RemainingBytes;
-    let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+    let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
     sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
     sim.run();
     assert!(sim.agent::<OneShotDriver>(driver).done_at.is_some());
@@ -382,7 +388,7 @@ fn fifty_rto_blackout_recovers_in_bounded_time() {
     cfg.min_rto = SimDuration::micros(200);
     cfg.max_rto = SimDuration::millis(1);
     cfg.initial_rto = Some(SimDuration::micros(500));
-    let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+    let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
     sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
     sim.run();
 
@@ -452,7 +458,7 @@ fn determinism_across_identical_runs() {
         );
         let mut cfg = SenderConfig::new(FlowId(1), h1);
         cfg.driver = Some(driver);
-        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
         sim.agent_mut::<OneShotDriver>(driver).sender = Some(h.sender);
         sim.run();
         (

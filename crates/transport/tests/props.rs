@@ -168,7 +168,7 @@ proptest! {
         let mut cfg = SenderConfig::new(FlowId(1), h1);
         cfg.driver = Some(app);
         cfg.min_rto = SimDuration::micros(200);
-        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
         sim.agent_mut::<Oneshot>(app).sender = Some(h.sender);
         sim.run_until(SimTime::from_secs_f64(30.0));
         prop_assert!(sim.agent::<Oneshot>(app).done, "loss={loss} kb={kb}");
@@ -230,7 +230,7 @@ proptest! {
         cfg.driver = Some(app);
         cfg.min_rto = SimDuration::micros(200);
         cfg.max_rto = SimDuration::millis(2);
-        let h = install_connection(&mut sim, h0, h1, cfg, Reno::new());
+        let h = install_connection(&mut sim, h0, h1, cfg, Box::new(Reno::new()));
         sim.agent_mut::<Oneshot>(app).sender = Some(h.sender);
         sim.run_until(SimTime::from_secs_f64(30.0));
         prop_assert!(

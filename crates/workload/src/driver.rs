@@ -10,6 +10,7 @@
 //!    arrival dependency that makes DNN traffic self-shifting.
 
 use crate::job::JobSpec;
+use crate::stats::{reconverge_after, IterationStats};
 use mltcp_netsim::packet::Packet;
 use mltcp_netsim::rng::SimRng;
 use mltcp_netsim::sim::{Agent, AgentCtx, AgentId};
@@ -179,48 +180,17 @@ impl JobDriver {
     }
 
     /// How many iterations the job needed to re-interleave with its
-    /// neighbours after resuming from its crash/restart fault.
-    ///
-    /// Baseline = mean of the (up to 5) iteration durations immediately
-    /// before the restart. Post-resume durations are compared through a
-    /// trailing 5-iteration mean (one noisy iteration neither triggers
-    /// nor masks a violation). The answer counts post-resume iterations
-    /// up to and including the *last* smoothed point exceeding
-    /// `baseline × (1 + rel_tol)` — after that many iterations the job
-    /// is back to its pre-fault speed and stays there.
+    /// neighbours after resuming from its crash/restart fault: the
+    /// [`reconverge_after`] count of its iteration durations, with the
+    /// resumed iteration as the first one the fault could affect.
     ///
     /// Returns `None` when the restart never fired, fired before any
     /// baseline existed, or the job never re-converged within the run
     /// (still violating at the last recorded iteration).
     pub fn iterations_to_reinterleave(&self, rel_tol: f64) -> Option<u32> {
-        const WINDOW: usize = 5;
         let (resume_idx, _) = self.restart_resume?;
-        let resume = resume_idx as usize;
-        if resume == 0 || resume >= self.records.len() {
-            return None;
-        }
-        let durs: Vec<f64> = self
-            .records
-            .iter()
-            .map(|r| r.duration().as_secs_f64())
-            .collect();
-        let pre = &durs[..resume];
-        let take = pre.len().min(WINDOW);
-        let baseline: f64 = pre[pre.len() - take..].iter().sum::<f64>() / take as f64;
-        let bound = baseline * (1.0 + rel_tol);
-        let mut last_bad = None;
-        for i in resume..durs.len() {
-            let lo = (i + 1).saturating_sub(WINDOW).max(resume);
-            let smoothed: f64 = durs[lo..=i].iter().sum::<f64>() / (i + 1 - lo) as f64;
-            if smoothed > bound {
-                last_bad = Some(i);
-            }
-        }
-        match last_bad {
-            None => Some(0),
-            Some(i) if i + 1 < durs.len() => Some((i + 1 - resume) as u32),
-            Some(_) => None,
-        }
+        let stats = IterationStats::from_records(&self.records);
+        reconverge_after(stats.durations(), resume_idx as usize, rel_tol).map(|n| n as u32)
     }
 
     fn begin_iteration(&mut self, ctx: &mut AgentCtx<'_>) {

@@ -21,8 +21,8 @@ use mltcp_netsim::sim::{AgentId, Simulator};
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_netsim::topology::{build_dumbbell, Dumbbell, DumbbellSpec};
 use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, MltcpConfig, Reno};
-use mltcp_transport::sender::{PriorityPolicy, SenderConfig, TcpSender};
-use mltcp_transport::TcpReceiver;
+use mltcp_transport::install_connection;
+use mltcp_transport::sender::{PriorityPolicy, SenderConfig};
 
 /// A choice of bandwidth aggressiveness function.
 ///
@@ -375,11 +375,8 @@ impl ScenarioBuilder {
                 // acts cleanly; a stale-window burst hits every flow alike.
                 cfg.slow_start_restart = true;
                 cfg.initial_cwnd = self.initial_cwnd;
-                let sender = sim.add_agent(src, TcpSender::new_boxed(cfg, cc_spec.build(oracle)));
-                let receiver = sim.add_agent(dst, TcpReceiver::new(flow));
-                sim.bind_flow(flow, sender);
-                sim.bind_flow(flow, receiver);
-                senders.push(sender);
+                let conn = install_connection(&mut sim, src, dst, cfg, cc_spec.build(oracle));
+                senders.push(conn.sender);
                 flows.push(flow);
             }
             sim.agent_mut::<JobDriver>(driver)
