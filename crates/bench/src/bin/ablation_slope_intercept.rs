@@ -12,6 +12,7 @@
 
 use mltcp_bench::experiments::{gpt2_jobs, mean_steady_ratio, mix_deadline, uniform_scenario};
 use mltcp_bench::{iters_or, scale, seed, Figure, Series};
+use mltcp_core::params::MltcpParams;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec};
 use mltcp_workload::SweepRunner;
 
@@ -33,10 +34,11 @@ fn main() {
         (4.0, 0.25),  // steep slope
     ];
     let ratios = SweepRunner::new().run(&grid, |i, &(slope, intercept)| {
+        let params = MltcpParams::new(slope, intercept).expect("every grid point is valid");
         let mut sc = uniform_scenario(
             seed() + i as u64,
             gpt2_jobs(scale, iters, 6),
-            CongestionSpec::MltcpReno(FnSpec::Linear { slope, intercept }),
+            CongestionSpec::MltcpReno(FnSpec::Linear(params)),
         );
         mltcp_bench::attach_trace(&mut sc, &format!("s{slope}-i{intercept}"));
         sc.run(deadline);

@@ -23,7 +23,7 @@
 //! main thread.
 
 use mltcp_bench::{seed, Figure, Series};
-use mltcp_core::aggressiveness::Linear;
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_netsim::link::{Bandwidth, LinkSpec};
 use mltcp_netsim::packet::{FlowId, Packet};
 use mltcp_netsim::sim::{Agent, AgentCtx, AgentId, Simulator};
@@ -148,7 +148,7 @@ fn main() {
         } else {
             Box::new(Mltcp::new(
                 Reno::new(),
-                Linear::paper_default(),
+                FnSpec::Paper,
                 MltcpConfig::oracle(ITER_BYTES, SimDuration::millis(1)),
             ))
         };

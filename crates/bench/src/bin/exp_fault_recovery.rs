@@ -33,9 +33,7 @@ use mltcp_bench::experiments::{
 use mltcp_bench::{experiments::fig2_jobs, iters_or, scale, seed, Figure, Series};
 use mltcp_netsim::fault::GilbertElliott;
 use mltcp_netsim::time::{SimDuration, SimTime};
-use mltcp_telemetry::{
-    take_metrics, JsonlSink, MetricsSink, MetricsSnapshot, TeeSink, TelemetrySink,
-};
+use mltcp_telemetry::{take_metrics, MetricsSink, MetricsSnapshot, TeeSink, TelemetrySink};
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, Scenario};
 use mltcp_workload::{JobDriver, SweepRunner};
 use std::io::Write;
@@ -83,13 +81,10 @@ fn fault_iteration(sc: &Scenario, idx: usize, case: &FaultCase) -> Option<usize>
 /// the binary was invoked with `--trace`.
 fn case_sink(label: &str) -> Box<dyn TelemetrySink> {
     let metrics = Box::new(MetricsSink::new());
-    if let Some(base) = mltcp_bench::trace_base() {
-        let path = mltcp_bench::trace_path(&base, label);
-        if let Ok(jsonl) = JsonlSink::create(&path) {
-            return Box::new(TeeSink::new(vec![metrics, Box::new(jsonl)]));
-        }
+    match mltcp_bench::trace_sink(label) {
+        Some(jsonl) => Box::new(TeeSink::new(vec![metrics, jsonl])),
+        None => metrics,
     }
-    metrics
 }
 
 fn run_case(

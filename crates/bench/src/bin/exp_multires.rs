@@ -13,7 +13,7 @@
 //! workers.
 
 use mltcp_bench::{seed, Figure, Series};
-use mltcp_core::aggressiveness::{Constant, Linear};
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_netsim::rng::SimRng;
 use mltcp_sched::multires::{simulate, CpuJob};
 use mltcp_workload::SweepRunner;
@@ -59,9 +59,9 @@ fn main() {
             (&jobs4[..], 200.0)
         };
         if progress {
-            simulate(js, 8.0, &Linear::paper_default(), horizon, 1e-3)
+            simulate(js, 8.0, FnSpec::Paper, horizon, 1e-3)
         } else {
-            simulate(js, 8.0, &Constant(1.0), horizon, 1e-3)
+            simulate(js, 8.0, FnSpec::Constant(1.0), horizon, 1e-3)
         }
     });
 

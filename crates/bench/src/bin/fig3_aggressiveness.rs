@@ -8,7 +8,6 @@
 
 use mltcp_bench::experiments::{gpt2_jobs, mix_deadline, uniform_scenario};
 use mltcp_bench::{iters_or, scale, seed, Figure, Series};
-use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction};
 use mltcp_workload::scenario::{CongestionSpec, FnSpec};
 use mltcp_workload::SweepRunner;
 
@@ -21,12 +20,12 @@ fn main() {
         "Iteration time vs iteration number for F1..F6 (paper Fig. 3)",
     );
 
-    let runs = SweepRunner::new().run(&FigureFunction::ALL, |_, f| {
+    let runs = SweepRunner::new().run(&FnSpec::FIG3, |_, &f| {
         let label = f.name().to_string();
         let mut sc = uniform_scenario(
             seed(),
             gpt2_jobs(scale, iters, 3),
-            CongestionSpec::MltcpReno(FnSpec::Figure(f.clone())),
+            CongestionSpec::MltcpReno(f),
         );
         mltcp_bench::attach_trace(&mut sc, &label);
         sc.run(deadline);

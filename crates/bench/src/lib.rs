@@ -78,7 +78,7 @@ pub fn default_noise(compute: SimDuration) -> SimDuration {
 /// The telemetry trace base path from `--trace PATH` / `--trace=PATH`
 /// on the command line, or the `MLTCP_TRACE` environment variable.
 /// `None` (the common case) disables tracing entirely.
-pub fn trace_base() -> Option<PathBuf> {
+fn trace_base() -> Option<PathBuf> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         if arg == "--trace" {
@@ -93,7 +93,7 @@ pub fn trace_base() -> Option<PathBuf> {
 
 /// The per-scenario trace path for `label`: `<stem>-<label>.jsonl` next
 /// to the base path (slashes in the label become dashes).
-pub fn trace_path(base: &std::path::Path, label: &str) -> PathBuf {
+fn trace_path(base: &std::path::Path, label: &str) -> PathBuf {
     let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
     let safe: String = label
         .chars()
@@ -129,7 +129,7 @@ pub fn attach_trace_sim(sim: &mut mltcp_netsim::sim::Simulator, label: &str) {
 
 /// Creates the JSONL sink for `label` when tracing is on. A file that
 /// cannot be created is reported and the run goes on untraced.
-fn trace_sink(label: &str) -> Option<Box<dyn mltcp_telemetry::TelemetrySink>> {
+pub fn trace_sink(label: &str) -> Option<Box<dyn mltcp_telemetry::TelemetrySink>> {
     let path = trace_path(&trace_base()?, label);
     match mltcp_telemetry::JsonlSink::create(&path) {
         Ok(sink) => {

@@ -13,9 +13,9 @@
 //!
 //! ## Contents
 //!
-//! * [`aggressiveness`] — the bandwidth aggressiveness function
-//!   `F(bytes_ratio)` (paper Eq. 2) and the six candidate functions of
-//!   Fig. 3, plus validity checks for the paper's three requirements.
+//! * [`aggressiveness`] — [`FnSpec`], the bandwidth aggressiveness
+//!   function `F(bytes_ratio)`: the paper's line (Eq. 2), the six
+//!   candidate functions of Fig. 3, any valid line and a constant.
 //! * [`tracker`] — per-flow iteration state of Algorithm 1:
 //!   `bytes_sent`, ack-gap iteration-boundary detection, `bytes_ratio`,
 //!   and online learning of `TOTAL_BYTES` / `COMP_TIME`.
@@ -34,13 +34,15 @@
 //! ## Quick taste
 //!
 //! ```
-//! use mltcp_core::aggressiveness::{Aggressiveness, Linear};
+//! use mltcp_core::aggressiveness::FnSpec;
 //! use mltcp_core::tracker::{IterationTracker, TrackerConfig};
+//! use mltcp_core::MltcpParams;
 //!
 //! // The paper's default F: 1.75 * bytes_ratio + 0.25.
-//! let f = Linear::paper_default();
-//! assert!((f.eval(0.0) - 0.25).abs() < 1e-12);
-//! assert!((f.eval(1.0) - 2.0).abs() < 1e-12);
+//! let f = FnSpec::Paper;
+//! assert_eq!(f.eval(0.0), 0.25);
+//! assert_eq!(f.eval(1.0), 2.0);
+//! assert_eq!(FnSpec::Linear(MltcpParams::PAPER).eval(0.4), f.eval(0.4));
 //!
 //! // Algorithm 1 bookkeeping: 1 MB per iteration, 100 ms compute gap.
 //! let mut t = IterationTracker::new(TrackerConfig::oracle(1_000_000, 100_000_000));
@@ -60,6 +62,6 @@ pub mod schedule;
 pub mod shift;
 pub mod tracker;
 
-pub use aggressiveness::{Aggressiveness, Linear};
+pub use aggressiveness::FnSpec;
 pub use params::MltcpParams;
 pub use tracker::{IterationTracker, TrackerConfig};

@@ -36,16 +36,6 @@ impl MltcpParams {
         }
     }
 
-    /// The value of F at `bytes_ratio = 0` (least aggressive).
-    pub fn min_gain(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The value of F at `bytes_ratio = 1` (most aggressive).
-    pub fn max_gain(&self) -> f64 {
-        self.slope + self.intercept
-    }
-
     /// The ratio `intercept / slope` that appears in the §4 steady-state
     /// error bound `2σ(1 + intercept/slope)`.
     ///
@@ -75,8 +65,6 @@ mod tests {
         let p = MltcpParams::default();
         assert_eq!(p.slope, 1.75);
         assert_eq!(p.intercept, 0.25);
-        assert!((p.min_gain() - 0.25).abs() < 1e-12);
-        assert!((p.max_gain() - 2.0).abs() < 1e-12);
     }
 
     #[test]

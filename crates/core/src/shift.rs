@@ -27,7 +27,7 @@ use crate::params::MltcpParams;
 /// `a` (comm phase lasts `a·T` seconds; `0 < a ≤ 1`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftFunction {
-    /// Aggressiveness slope/intercept (Eq. 2).
+    /// Slope and intercept of the aggressiveness function (Eq. 2).
     pub params: MltcpParams,
     /// Ideal (isolated) iteration time `T` in seconds.
     pub period: f64,

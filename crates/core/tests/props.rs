@@ -1,6 +1,6 @@
 //! Property-based tests over the core algorithm and §4 theory.
 
-use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction, Linear};
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_core::gradient::{circular_distance, Descent};
 use mltcp_core::loss::{loss_by_quadrature, LossFunction};
 use mltcp_core::params::MltcpParams;
@@ -23,7 +23,7 @@ proptest! {
     /// Requirement (ii) of §3.1 holds for every valid linear F.
     #[test]
     fn linear_f_is_monotone_and_positive(p in valid_params(), r1 in 0.0f64..1.0, r2 in 0.0f64..1.0) {
-        let f = Linear::new(p);
+        let f = FnSpec::Linear(p);
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
         prop_assert!(f.eval(lo) <= f.eval(hi) + 1e-12);
         prop_assert!(f.eval(lo) > 0.0);
@@ -32,7 +32,7 @@ proptest! {
     /// Every Fig. 3 candidate stays within its published [0.25, 2] range.
     #[test]
     fn figure_functions_stay_in_range(r in 0.0f64..1.0) {
-        for f in FigureFunction::ALL {
+        for f in FnSpec::FIG3 {
             let y = f.eval(r);
             prop_assert!((0.25 - 1e-9..=2.0 + 1e-9).contains(&y), "{}({r}) = {y}", f.name());
         }

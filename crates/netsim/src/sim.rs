@@ -232,28 +232,10 @@ impl SimCore {
                 }
             }
             EnqueueOutcome::DroppedArrival(p) => {
-                self.stats.dropped += 1;
-                self.topo.channels[li].packets_dropped += 1;
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.record(&TelemetryEvent::Drop {
-                        t_ns: self.now.as_nanos(),
-                        link: li as u32,
-                        flow: p.flow.0,
-                        reason: DropReason::QueueFull,
-                    });
-                }
+                self.drop_packet(link, p.flow, DropReason::QueueFull);
             }
             EnqueueOutcome::Evicted(victim) => {
-                self.stats.dropped += 1;
-                self.topo.channels[li].packets_dropped += 1;
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.record(&TelemetryEvent::Drop {
-                        t_ns: self.now.as_nanos(),
-                        link: li as u32,
-                        flow: victim.flow.0,
-                        reason: DropReason::Evicted,
-                    });
-                }
+                self.drop_packet(link, victim.flow, DropReason::Evicted);
             }
         }
         if !busy {
@@ -320,16 +302,7 @@ impl SimCore {
         // not know about TCP semantics. Draws come from the link's own
         // stream so drop patterns are interleaving-independent.
         if self.loss[li].drops_packet(&mut self.link_rngs[li]) {
-            self.stats.dropped += 1;
-            self.topo.channels[li].packets_dropped += 1;
-            if let Some(sink) = self.sink.as_mut() {
-                sink.record(&TelemetryEvent::Drop {
-                    t_ns: self.now.as_nanos(),
-                    link: li as u32,
-                    flow: pkt.flow.0,
-                    reason: DropReason::RandomLoss,
-                });
-            }
+            self.drop_packet(link, pkt.flow, DropReason::RandomLoss);
         } else {
             self.events.schedule_delivery(arrival, link, epoch, pkt);
         }
@@ -388,20 +361,9 @@ impl SimCore {
                 }
                 self.emit_fault(link, FaultKind::LinkDown, 1.0);
                 // Queued packets die with the link.
-                let mut drained = 0u64;
                 while let Some(p) = self.queues[li].dequeue() {
-                    drained += 1;
-                    if let Some(sink) = self.sink.as_mut() {
-                        sink.record(&TelemetryEvent::Drop {
-                            t_ns: self.now.as_nanos(),
-                            link: li as u32,
-                            flow: p.flow.0,
-                            reason: DropReason::Drained,
-                        });
-                    }
+                    self.drop_packet(link, p.flow, DropReason::Drained);
                 }
-                self.stats.dropped += drained;
-                self.topo.channels[li].packets_dropped += drained;
             }
             FaultAction::LinkUp { link } => {
                 let li = link.index();
@@ -432,18 +394,22 @@ impl SimCore {
         }
     }
 
-    /// Counts `pkt` as cut on `link`'s wire: the link went down while
-    /// it was in flight.
+    /// Counts one dropped packet of `flow` and reports it to the sink.
+    /// `link` is the channel that dropped it, whose counter moves too, or
+    /// [`LinkId::NONE`] for a drop at a node (no route, no bound agent),
+    /// which the sink sees as [`TelemetryEvent::NO_LINK`].
     #[cold]
-    fn cut_on_wire(&mut self, link: LinkId, pkt: &Packet) {
+    fn drop_packet(&mut self, link: LinkId, flow: FlowId, reason: DropReason) {
         self.stats.dropped += 1;
-        self.topo.channels[link.index()].packets_dropped += 1;
+        if link != LinkId::NONE {
+            self.topo.channels[link.index()].packets_dropped += 1;
+        }
         if let Some(sink) = self.sink.as_mut() {
             sink.record(&TelemetryEvent::Drop {
                 t_ns: self.now.as_nanos(),
-                link: link.index() as u32,
-                flow: pkt.flow.0,
-                reason: DropReason::LinkCut,
+                link: link.0,
+                flow: flow.0,
+                reason,
             });
         }
     }
@@ -454,20 +420,12 @@ impl SimCore {
     fn forward(&mut self, node: NodeId, pkt: Packet) {
         match self.topo.next_hop(node, pkt.dst) {
             Some(link) => self.enqueue_on(link, pkt),
-            None => {
-                self.stats.dropped += 1;
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.record(&TelemetryEvent::Drop {
-                        t_ns: self.now.as_nanos(),
-                        link: TelemetryEvent::NO_LINK,
-                        flow: pkt.flow.0,
-                        reason: DropReason::NoRoute,
-                    });
-                }
-            }
+            None => self.drop_packet(LinkId::NONE, pkt.flow, DropReason::NoRoute),
         }
     }
 }
+
+const _: () = assert!(LinkId::NONE.0 == TelemetryEvent::NO_LINK);
 
 /// The world as visible from inside an agent handler.
 pub struct AgentCtx<'a> {
@@ -886,7 +844,7 @@ impl Simulator {
                         // A stale epoch means the carrying link went
                         // down after serialization began: the packet
                         // was cut on the wire.
-                        self.core.cut_on_wire(via, &p);
+                        self.core.drop_packet(via, p.flow, DropReason::LinkCut);
                         return;
                     }
                 };
@@ -897,19 +855,11 @@ impl Simulator {
                             self.core.stats.delivered += 1;
                             self.with_agent(agent.0, |a, ctx| a.on_packet(ctx, p));
                         }
-                        None => {
-                            // No transport bound: the packet is dropped
-                            // at the host (like a RST-less closed port).
-                            self.core.stats.dropped += 1;
-                            if let Some(sink) = self.core.sink.as_mut() {
-                                sink.record(&TelemetryEvent::Drop {
-                                    t_ns: self.core.now.as_nanos(),
-                                    link: TelemetryEvent::NO_LINK,
-                                    flow: p.flow.0,
-                                    reason: DropReason::Unbound,
-                                });
-                            }
-                        }
+                        // No transport bound: the packet is dropped at
+                        // the host (like a RST-less closed port).
+                        None => self
+                            .core
+                            .drop_packet(LinkId::NONE, p.flow, DropReason::Unbound),
                     },
                 }
             }

@@ -18,7 +18,7 @@
 //! A constant `F` reproduces fair sharing, which (exactly as on the
 //! link) preserves the initial phase alignment and stays contended.
 
-use mltcp_core::aggressiveness::Aggressiveness;
+use mltcp_core::aggressiveness::FnSpec;
 
 /// A periodic CPU job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,10 +69,10 @@ enum CpuPhase {
 /// Simulates `jobs` sharing `cores` under progress-based allocation with
 /// aggressiveness `f`, for `horizon` seconds at `dt` resolution. Returns
 /// per-job iteration histories.
-pub fn simulate<F: Aggressiveness>(
+pub fn simulate(
     jobs: &[CpuJob],
     cores: f64,
-    f: &F,
+    f: FnSpec,
     horizon: f64,
     dt: f64,
 ) -> Vec<CpuJobResult> {
@@ -159,7 +159,6 @@ pub fn simulate<F: Aggressiveness>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mltcp_core::aggressiveness::{Constant, Linear};
 
     fn two_jobs() -> Vec<CpuJob> {
         // think 1 s, work 8 core-seconds at ≤ 8 cores ⇒ burst 1 s at full
@@ -189,8 +188,7 @@ mod tests {
     #[test]
     fn progress_based_allocation_interleaves_cpu_bursts() {
         let jobs = two_jobs();
-        let f = Linear::paper_default();
-        let res = simulate(&jobs, 8.0, &f, 120.0, 1e-3);
+        let res = simulate(&jobs, 8.0, FnSpec::Paper, 120.0, 1e-3);
         for (i, r) in res.iter().enumerate() {
             let steady = r.tail_mean(5);
             assert!(
@@ -203,8 +201,7 @@ mod tests {
     #[test]
     fn fair_sharing_stays_contended() {
         let jobs = two_jobs();
-        let f = Constant(1.0);
-        let res = simulate(&jobs, 8.0, &f, 120.0, 1e-3);
+        let res = simulate(&jobs, 8.0, FnSpec::Constant(1.0), 120.0, 1e-3);
         // Fair split of overlapping bursts: each runs at ~4 cores during
         // overlap ⇒ periods stay well above ideal.
         let steady = res[0].tail_mean(5);
@@ -217,8 +214,8 @@ mod tests {
     #[test]
     fn progress_beats_fair_on_average() {
         let jobs = two_jobs();
-        let prog = simulate(&jobs, 8.0, &Linear::paper_default(), 120.0, 1e-3);
-        let fair = simulate(&jobs, 8.0, &Constant(1.0), 120.0, 1e-3);
+        let prog = simulate(&jobs, 8.0, FnSpec::Paper, 120.0, 1e-3);
+        let fair = simulate(&jobs, 8.0, FnSpec::Constant(1.0), 120.0, 1e-3);
         let pm: f64 = prog.iter().map(|r| r.tail_mean(5)).sum::<f64>() / 2.0;
         let fm: f64 = fair.iter().map(|r| r.tail_mean(5)).sum::<f64>() / 2.0;
         assert!(pm < fm, "progress-based {pm:.3} !< fair {fm:.3}");
@@ -234,7 +231,7 @@ mod tests {
             max_parallelism: 2.0,
             offset: 0.0,
         }];
-        let res = simulate(&jobs, 8.0, &Linear::paper_default(), 30.0, 1e-3);
+        let res = simulate(&jobs, 8.0, FnSpec::Paper, 30.0, 1e-3);
         let steady = res[0].tail_mean(3);
         assert!((steady - 2.5).abs() < 0.05, "steady={steady}");
     }

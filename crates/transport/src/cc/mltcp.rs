@@ -2,7 +2,7 @@
 //!
 //! [`Mltcp`] wraps *any* base [`CongestionControl`] and scales its
 //! congestion-avoidance window increase by the bandwidth aggressiveness
-//! function `F(bytes_ratio)`:
+//! function `F(bytes_ratio)`, an [`FnSpec`] held by value:
 //!
 //! ```text
 //! cwnd ← cwnd + F(bytes_ratio) · Δ_base          (paper Eq. 1, generalized)
@@ -32,7 +32,7 @@
 //! flow behaves exactly like its base algorithm (`F ≡ 1`).
 
 use super::{AckEvent, CongestionControl, Window};
-use mltcp_core::aggressiveness::Aggressiveness;
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_core::tracker::{AutoTuner, IterationTracker, TrackerConfig};
 use mltcp_netsim::time::{SimDuration, SimTime};
 
@@ -85,9 +85,10 @@ enum Mode {
 }
 
 /// A base congestion control algorithm augmented with MLTCP.
+#[derive(Debug)]
 pub struct Mltcp<C: CongestionControl> {
     inner: C,
-    f: Box<dyn Aggressiveness + Send>,
+    f: FnSpec,
     mode: Mode,
     last_ratio: f64,
     /// The most recently applied gain (1.0 while learning or in slow
@@ -95,20 +96,9 @@ pub struct Mltcp<C: CongestionControl> {
     last_gain: f64,
 }
 
-impl<C: CongestionControl> std::fmt::Debug for Mltcp<C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mltcp")
-            .field("inner", &self.inner)
-            .field("f", &self.f.name())
-            .field("mode", &self.mode)
-            .field("last_ratio", &self.last_ratio)
-            .finish()
-    }
-}
-
 impl<C: CongestionControl> Mltcp<C> {
     /// Wraps `inner` with aggressiveness function `f` under `config`.
-    pub fn new(inner: C, f: impl Aggressiveness + Send + 'static, config: MltcpConfig) -> Self {
+    pub fn new(inner: C, f: FnSpec, config: MltcpConfig) -> Self {
         let mode = match (config.total_bytes, config.comp_time) {
             (Some(tb), Some(ct)) => {
                 let tc = match config.multiburst_frac {
@@ -121,20 +111,11 @@ impl<C: CongestionControl> Mltcp<C> {
         };
         Self {
             inner,
-            f: Box::new(f),
+            f,
             mode,
             last_ratio: 0.0,
             last_gain: 1.0,
         }
-    }
-
-    /// Paper defaults: linear `F = 1.75·r + 0.25`, oracle job parameters.
-    pub fn paper(inner: C, total_bytes: u64, comp_time: SimDuration) -> Self {
-        Self::new(
-            inner,
-            mltcp_core::aggressiveness::Linear::paper_default(),
-            MltcpConfig::oracle(total_bytes, comp_time),
-        )
     }
 
     /// The most recent `bytes_ratio` (for tests and instrumentation).
@@ -232,7 +213,6 @@ impl<C: CongestionControl> CongestionControl for Mltcp<C> {
 mod tests {
     use super::*;
     use crate::cc::reno::Reno;
-    use mltcp_core::aggressiveness::{Constant, Linear};
 
     const MSS: f64 = 1500.0;
 
@@ -255,7 +235,7 @@ mod tests {
     fn matches_eq1_for_reno() {
         // In CA with bytes_ratio r, increment must be F(r) · n/cwnd.
         let total = 150_000; // 100 packets per iteration
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(total));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(total));
         let mut w = Window::initial(10.0);
         w.ssthresh = 5.0; // CA
 
@@ -270,7 +250,7 @@ mod tests {
     #[test]
     fn gain_grows_within_iteration() {
         let total = 15_000; // 10 packets
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(total));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(total));
         let mut w = Window::initial(10.0);
         w.ssthresh = 5.0;
         let mut increments = vec![];
@@ -290,7 +270,7 @@ mod tests {
     #[test]
     fn iteration_gap_resets_ratio() {
         let total = 15_000;
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(total));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(total));
         let mut w = Window::initial(10.0);
         w.ssthresh = 5.0;
         for i in 0..10 {
@@ -305,7 +285,7 @@ mod tests {
     #[test]
     fn rto_blackout_gap_does_not_reset_ratio() {
         let total = 15_000;
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(total));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(total));
         let mut w = Window::initial(10.0);
         w.ssthresh = 5.0;
         for i in 0..5 {
@@ -327,7 +307,7 @@ mod tests {
     #[test]
     fn constant_one_equals_plain_base() {
         let mut plain = Reno::new();
-        let mut m = Mltcp::new(Reno::new(), Constant(1.0), oracle(150_000));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Constant(1.0), oracle(150_000));
         let mut w1 = Window::initial(10.0);
         let mut w2 = Window::initial(10.0);
         w1.ssthresh = 5.0;
@@ -341,7 +321,7 @@ mod tests {
 
     #[test]
     fn slow_start_is_not_scaled_by_default() {
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(150_000));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(150_000));
         let mut w = Window::initial(10.0); // ssthresh ∞ → slow start
         m.on_ack(&ack_at(0, 10.0), &mut w);
         assert_eq!(w.cwnd, 20.0); // pure doubling, no F scaling
@@ -349,7 +329,7 @@ mod tests {
 
     #[test]
     fn decrease_steps_are_untouched() {
-        let mut m = Mltcp::new(Reno::new(), Linear::paper_default(), oracle(150_000));
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, oracle(150_000));
         let mut w = Window::initial(32.0);
         w.ssthresh = 16.0;
         w.cwnd = 32.0;
@@ -361,11 +341,7 @@ mod tests {
 
     #[test]
     fn autotune_locks_then_scales() {
-        let mut m = Mltcp::new(
-            Reno::new(),
-            Linear::paper_default(),
-            MltcpConfig::autotune(),
-        );
+        let mut m = Mltcp::new(Reno::new(), FnSpec::Paper, MltcpConfig::autotune());
         assert!(!m.is_tracking());
         let mut w = Window::initial(10.0);
         w.ssthresh = 5.0;
@@ -392,7 +368,7 @@ mod tests {
         use crate::cc::cubic::Cubic;
         // With F ≡ 1, MLTCP-CUBIC must equal plain CUBIC bit-for-bit.
         let mut plain = Cubic::new();
-        let mut m = Mltcp::new(Cubic::new(), Constant(1.0), oracle(150_000));
+        let mut m = Mltcp::new(Cubic::new(), FnSpec::Constant(1.0), oracle(150_000));
         let mut w1 = Window::initial(10.0);
         let mut w2 = Window::initial(10.0);
         w1.ssthresh = 5.0;
@@ -412,7 +388,7 @@ mod tests {
         // generic increment scaling could NOT deliver for a
         // target-tracking algorithm.
         let run = |f: f64| {
-            let mut m = Mltcp::new(Cubic::new(), Constant(f), oracle(150_000_000));
+            let mut m = Mltcp::new(Cubic::new(), FnSpec::Constant(f), oracle(150_000_000));
             let mut w = Window::initial(10.0);
             w.ssthresh = 5.0;
             for i in 0..2_000 {
@@ -433,7 +409,7 @@ mod tests {
         // The paper's core mechanism: the flow closer to finishing its
         // iteration grows faster.
         let total = 150_000;
-        let mk = || Mltcp::new(Reno::new(), Linear::paper_default(), oracle(total));
+        let mk = || Mltcp::new(Reno::new(), FnSpec::Paper, oracle(total));
         let mut ahead = mk();
         let mut behind = mk();
         let mut wa = Window::initial(10.0);

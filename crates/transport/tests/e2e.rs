@@ -2,10 +2,11 @@
 //! networks, exercising slow start, congestion avoidance, loss recovery,
 //! timeouts, ECN, and the MLTCP augmentation's iteration tracking.
 
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_netsim::prelude::*;
 use mltcp_netsim::queue::QueueKind;
 use mltcp_netsim::topology::{build_dumbbell, DumbbellSpec};
-use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, Reno};
+use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, MltcpConfig, Reno};
 use mltcp_transport::proto::{self, Msg};
 use mltcp_transport::sender::PriorityPolicy;
 use mltcp_transport::{install_connection, SenderConfig, TcpReceiver, TcpSender};
@@ -302,7 +303,11 @@ fn mltcp_tracker_follows_iterations_end_to_end() {
     );
     let mut cfg = SenderConfig::new(FlowId(1), h1);
     cfg.driver = Some(driver);
-    let cc = Mltcp::paper(Reno::new(), bytes, SimDuration::millis(10));
+    let cc = Mltcp::new(
+        Reno::new(),
+        FnSpec::Paper,
+        MltcpConfig::oracle(bytes, SimDuration::millis(10)),
+    );
     let h = install_connection(&mut sim, h0, h1, cfg, Box::new(cc));
     sim.agent_mut::<IterDriver>(driver).sender = Some(h.sender);
     sim.run();

@@ -2,7 +2,7 @@
 //! arbitrary event sequences, and end-to-end delivery under randomized
 //! loss patterns.
 
-use mltcp_core::aggressiveness::Linear;
+use mltcp_core::aggressiveness::FnSpec;
 use mltcp_netsim::link::{Bandwidth, LinkSpec};
 use mltcp_netsim::packet::{FlowId, Packet};
 use mltcp_netsim::sim::{Agent, AgentCtx, AgentId, Simulator};
@@ -74,7 +74,7 @@ proptest! {
         prop_assert!(drive(&mut Dctcp::new(), &evs));
         let mut m = Mltcp::new(
             Reno::new(),
-            Linear::paper_default(),
+            FnSpec::Paper,
             MltcpConfig::oracle(1_000_000, SimDuration::millis(1)),
         );
         prop_assert!(drive(&mut m, &evs));
@@ -88,7 +88,7 @@ proptest! {
         let mut base = Reno::new();
         let mut aug = Mltcp::new(
             Reno::new(),
-            Linear::paper_default(),
+            FnSpec::Paper,
             MltcpConfig::oracle(u64::MAX / 2, SimDuration::millis(1)),
         );
         let mut wb = Window::initial(10.0);

@@ -11,8 +11,6 @@ use crate::driver::JobDriver;
 use crate::job::JobSpec;
 use crate::models;
 use crate::stats::{IterationStats, JobReport};
-use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction, Linear};
-use mltcp_core::params::MltcpParams;
 use mltcp_netsim::fault::{FaultPlan, GilbertElliott, LossModel};
 use mltcp_netsim::link::Bandwidth;
 use mltcp_netsim::packet::FlowId;
@@ -24,44 +22,7 @@ use mltcp_transport::cc::{Cubic, Dctcp, Mltcp, MltcpConfig, Reno};
 use mltcp_transport::install_connection;
 use mltcp_transport::sender::{PriorityPolicy, SenderConfig};
 
-/// A choice of bandwidth aggressiveness function.
-///
-/// Implements [`Aggressiveness`] directly so it can be handed to
-/// [`Mltcp::new`] without boxing gymnastics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FnSpec {
-    /// The paper's deployed default: `1.75·r + 0.25`.
-    Paper,
-    /// One of the six Fig. 3 candidates.
-    Figure(FigureFunction),
-    /// A custom linear function.
-    Linear {
-        /// Slope.
-        slope: f64,
-        /// Intercept.
-        intercept: f64,
-    },
-}
-
-impl Aggressiveness for FnSpec {
-    fn eval(&self, bytes_ratio: f64) -> f64 {
-        match self {
-            FnSpec::Paper => Linear::paper_default().eval(bytes_ratio),
-            FnSpec::Figure(f) => f.eval(bytes_ratio),
-            FnSpec::Linear { slope, intercept } => MltcpParams::new(*slope, *intercept)
-                .map(|p| Linear::new(p).eval(bytes_ratio))
-                .unwrap_or(1.0),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            FnSpec::Paper => "F1: 1.75r + 0.25 (paper)",
-            FnSpec::Figure(f) => f.name(),
-            FnSpec::Linear { .. } => "linear (custom)",
-        }
-    }
-}
+pub use mltcp_core::aggressiveness::FnSpec;
 
 /// A choice of congestion control per job.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,9 +74,9 @@ impl CongestionSpec {
             CongestionSpec::Reno => Box::new(Reno::new()),
             CongestionSpec::Cubic => Box::new(Cubic::new()),
             CongestionSpec::Dctcp => Box::new(Dctcp::new()),
-            CongestionSpec::MltcpReno(f) => Box::new(Mltcp::new(Reno::new(), f.clone(), cfg)),
-            CongestionSpec::MltcpCubic(f) => Box::new(Mltcp::new(Cubic::new(), f.clone(), cfg)),
-            CongestionSpec::MltcpDctcp(f) => Box::new(Mltcp::new(Dctcp::new(), f.clone(), cfg)),
+            CongestionSpec::MltcpReno(f) => Box::new(Mltcp::new(Reno::new(), *f, cfg)),
+            CongestionSpec::MltcpCubic(f) => Box::new(Mltcp::new(Cubic::new(), *f, cfg)),
+            CongestionSpec::MltcpDctcp(f) => Box::new(Mltcp::new(Dctcp::new(), *f, cfg)),
         }
     }
 }
@@ -498,31 +459,14 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mltcp_core::params::MltcpParams;
 
     #[test]
     fn fnspec_dispatch_matches_components() {
         assert_eq!(FnSpec::Paper.eval(0.4), 1.75 * 0.4 + 0.25);
-        assert_eq!(
-            FnSpec::Figure(FigureFunction::F5).eval(0.4),
-            -1.75 * 0.4 + 2.0
-        );
-        assert_eq!(
-            FnSpec::Linear {
-                slope: 1.0,
-                intercept: 0.5
-            }
-            .eval(0.5),
-            1.0
-        );
-        // Invalid custom params degrade to gain 1 rather than panicking.
-        assert_eq!(
-            FnSpec::Linear {
-                slope: -1.0,
-                intercept: 0.5
-            }
-            .eval(0.5),
-            1.0
-        );
+        assert_eq!(FnSpec::F5.eval(0.4), -1.75 * 0.4 + 2.0);
+        let p = MltcpParams::new(1.0, 0.5).unwrap();
+        assert_eq!(FnSpec::Linear(p).eval(0.5), 1.0);
     }
 
     #[test]

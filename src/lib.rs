@@ -62,7 +62,6 @@ pub use mltcp_workload as workload;
 
 /// The things almost every experiment needs, in one import.
 pub mod prelude {
-    pub use mltcp_core::aggressiveness::{Aggressiveness, FigureFunction, Linear};
     pub use mltcp_core::params::MltcpParams;
     pub use mltcp_netsim::fault::{FaultPlan, GilbertElliott, LossModel};
     pub use mltcp_netsim::link::Bandwidth;
