@@ -200,8 +200,14 @@ impl FifoQueue {
 
     /// Removes the next packet to transmit.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        let pkt = self.queue.pop_front()?;
-        self.bytes -= u64::from(pkt.wire_bytes);
+        // Copied out of `front` whole, the byte count read through the
+        // reference. `pop_front`'s `Option` (its niche is the header's tag
+        // byte), or a field read from the local copy, splits the copy into
+        // 1–8-byte stores that the delivery's 16-byte loads then stall on.
+        let front = self.queue.front()?;
+        self.bytes -= u64::from(front.wire_bytes);
+        let pkt = *front;
+        self.queue.pop_front();
         Some(pkt)
     }
 

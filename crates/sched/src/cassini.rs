@@ -17,13 +17,20 @@
 //! Cost: each job's placement and each descent step turn the other jobs'
 //! comm runs ([`PeriodicJob::comm_samples`]) into run-length segments of
 //! constant demand, in O(their comm intervals · log), with no per-sample
-//! array. Each of the `grid` candidates is then scored by its exact
-//! excess count `W = Σ (d − 1)⁺` from the segments' prefix counts, in
-//! O(its own comm intervals · log segments). The count decides, the
-//! in-order float sum breaks ties: the offsets and report are those of
-//! scoring every candidate by the sampled float integral, bit for bit,
-//! and only a tie at `W > 0` sums floats, over the contended samples
-//! alone.
+//! array. A candidate's exact excess count `W = Σ (d − 1)⁺` comes from
+//! the segments' prefix counts, in O(its own comm intervals · log
+//! segments). Where the others never overlap, the search for the first
+//! zero-count candidate scores a candidate and, if it conflicts, jumps to
+//! the first grid step whose burst could clear the busy stretch it hit,
+//! so a placement on the benchmark's mixes scores a few candidates rather
+//! than every one before the first zero. Otherwise, or if no candidate
+//! reaches zero, the `grid` candidates are scored in order: the count
+//! decides, the in-order float sum breaks ties. Either way the offsets
+//! and report are those of scoring every candidate by the sampled float
+//! integral, bit for bit; only a tie at `W > 0` sums floats, over the
+//! contended samples alone, and a greedy placement that ends at `W = 0`
+//! over the mix's own horizon yields the report without a per-sample
+//! pass.
 //!
 //! The returned offsets are *communication-phase* start times; use
 //! [`driver_offsets`] to convert them into job (compute-phase) start
@@ -200,11 +207,18 @@ impl OthersDemand {
         excess
     }
 
-    /// Scans `job`'s `grid` candidate offsets in order and returns the
-    /// best: a candidate replaces the incumbent when its float `e` is
-    /// below the incumbent's minus `margin`. `best` is the incumbent to
-    /// beat, if any. The scan stops at a zero count, which nothing after
-    /// it could beat.
+    /// Returns the best of `job`'s `grid` candidate offsets: the first
+    /// candidate of the ordered scan that no later one beats, where a
+    /// candidate replaces the incumbent when its float `e` is below the
+    /// incumbent's minus `margin`. `best` is the incumbent to beat, if any.
+    ///
+    /// The scan stops at a zero count, which nothing after it could beat.
+    /// Where the others never overlap, counts decide, and the incumbent
+    /// (if any) has a non-zero count, a zero-count candidate beats
+    /// every one before it, so the answer is the first zero:
+    /// [`first_zero`](Self::first_zero) finds it without scoring the
+    /// candidates it proves conflicting. Only when no candidate reaches
+    /// zero does the ordered scan run.
     fn best_offset(
         &self,
         job: &PeriodicJob,
@@ -212,9 +226,21 @@ impl OthersDemand {
         mut best: Option<Scored>,
         margin: f64,
     ) -> Scored {
+        let zero_wins = self.others_count == 0
+            && self.count_decides
+            && best.as_ref().is_none_or(|incumbent| incumbent.count > 0);
+        if zero_wins {
+            if let Some(offset) = self.first_zero(job, grid) {
+                return Scored {
+                    count: 0,
+                    excess: None,
+                    offset,
+                };
+            }
+        }
         let mut runs = Vec::new();
         for g in 0..grid {
-            let offset = job.period * g as f64 / grid as f64;
+            let offset = grid_offset(job, g, grid);
             job.with_offset(offset)
                 .comm_samples(self.horizon, self.samples, &mut runs);
             let count = self.count_with(&runs);
@@ -234,6 +260,92 @@ impl OthersDemand {
             }
         }
         best.expect("the grid has at least 8 candidates")
+    }
+
+    /// The first of `job`'s `grid` offsets at which it covers no busy
+    /// sample (`W = 0`, the others having no overlap of their own), or
+    /// `None` if every candidate covers one. Each candidate it visits is
+    /// scored exactly; from one that conflicts it jumps over the
+    /// candidates that provably conflict too.
+    ///
+    /// Why the jump is safe. Count in samples, sample `i` sitting at `i`.
+    /// At grid offset `o` the job communicates on bursts `[x, x + L)`,
+    /// `x = (o + kT + q·T/b)/dt`, `L = (a·T/b)/dt`, and each grid step
+    /// adds `δ = (T/grid)/dt` to every `x`. Where `(H + 2T)·2⁻⁴⁰ < dt`,
+    /// the bound `comm_samples` relies on, `is_communicating` (and so
+    /// `comm_samples`) errs only within 2⁻¹⁰ samples of a burst edge, and
+    /// `u`, `L`, `jδ` and the quotient below round by no more
+    /// (`count_decides` keeps `n < 2²⁵`). So conditions checked on
+    /// computed values with a margin of `M = 2` samples hold exactly with
+    /// a margin above 1.9, more than the predicate needs.
+    ///
+    /// Let candidate `g` cover busy sample `c`, every sample of `c..e`
+    /// being busy. The phase of `c` gives the start `u` of the burst
+    /// holding it (a phase rounding across a burst edge names the adjacent
+    /// burst, a burst of `g` all the same). After `j` steps that burst is
+    /// `[u + jδ, u + L + jδ)`. Suppose
+    /// (a) `L ≥ 2M + 1`,
+    /// (b) `u + L + δ − M ≥ c` and
+    /// (c) `u + jδ + M ≤ e − 1`,
+    /// and take `m = max(c, ⌈u + jδ + M⌉)`. Then `c ≤ m ≤ e − 1` by (c).
+    /// On the left `m ≥ u + jδ + M`. On the right, if `m = c` then
+    /// `m ≤ u + L + jδ − M` by (b), as `jδ ≥ δ`; otherwise
+    /// `m < u + jδ + M + 1 ≤ u + L + jδ − M` by (a). So `m` lies `M`
+    /// inside a burst of candidate `g + j`, which therefore communicates
+    /// at busy sample `m`: `W > 0`. (c) holds for
+    /// `j < J = ⌊(e − 1 − M − u)/δ⌋ + 1`, so every candidate from `g + 1`
+    /// to `g + J − 1` conflicts, and the search goes on at `g + J`, the
+    /// first whose burst could clear `e`. Where the rounding bound, (a) or
+    /// (b) fails, `J = 1`.
+    fn first_zero(&self, job: &PeriodicJob, grid: usize) -> Option<f64> {
+        const M: f64 = 2.0;
+        let bursts = f64::from(job.bursts.max(1));
+        let sub_period = job.period / bursts;
+        let burst = job.comm_duration() / bursts / self.dt;
+        let step = job.period / grid as f64 / self.dt;
+        let can_jump =
+            (self.horizon + 2.0 * job.period) * 2f64.powi(-40) < self.dt && burst >= 2.0 * M + 1.0;
+        let mut runs = Vec::new();
+        let mut g = 0;
+        while g < grid {
+            let offset = grid_offset(job, g, grid);
+            job.with_offset(offset)
+                .comm_samples(self.horizon, self.samples, &mut runs);
+            let Some((c, e)) = self.first_conflict(&runs) else {
+                debug_assert_eq!(self.count_with(&runs), 0);
+                return Some(offset);
+            };
+            let t = self.horizon * c as f64 / self.samples as f64;
+            let phase = (t - offset).rem_euclid(job.period) % sub_period;
+            let u = c as f64 - phase / self.dt;
+            let jump = if can_jump && u + burst + step - M >= c as f64 {
+                ((e as f64 - 1.0 - M - u) / step)
+                    .floor()
+                    .clamp(0.0, grid as f64) as usize
+                    + 1
+            } else {
+                1
+            };
+            g += jump;
+        }
+        None
+    }
+
+    /// The first busy sample `c` that a candidate communicating on `runs`
+    /// covers, with the end `e` of the busy stretch from `c` (adjacent
+    /// segments merged), or `None` if it covers none.
+    fn first_conflict(&self, runs: &[Range<usize>]) -> Option<(usize, usize)> {
+        runs.iter().find_map(|r| {
+            let k = self.segments.partition_point(|&(_, end, _)| end <= r.start);
+            let &(start, mut end, _) = self.segments.get(k).filter(|seg| seg.0 < r.end)?;
+            for &(next, next_end, _) in &self.segments[k + 1..] {
+                if next != end {
+                    break;
+                }
+                end = next_end;
+            }
+            Some((start.max(r.start), end))
+        })
     }
 
     /// `e < incumbent − margin` for the candidate with `count` on `runs`.
@@ -262,6 +374,11 @@ impl OthersDemand {
     }
 }
 
+/// Candidate `g` of `grid` for `job`: `g/grid` of its period.
+fn grid_offset(job: &PeriodicJob, g: usize, grid: usize) -> f64 {
+    job.period * g as f64 / grid as f64
+}
+
 /// Chooses communication-phase offsets minimizing contention.
 ///
 /// `grid` is the number of candidate offsets tried per job and per
@@ -284,6 +401,9 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         db.partial_cmp(&da).expect("finite durations")
     });
     let mut offsets = vec![0.0; jobs.len()];
+    // The last placement's count and horizon, and whether the jobs placed
+    // before it communicate at any sample.
+    let mut last = None;
     for &idx in &order {
         let job = jobs[idx];
         // The horizon of the placed jobs plus this one, in that order:
@@ -292,8 +412,10 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         let horizon = hyperperiod(&placed, 1e-6);
         placed.pop();
         let others = OthersDemand::new(&placed, horizon, samples);
-        offsets[idx] = others.best_offset(&job, grid, None, 0.0).offset;
-        placed.push(job.with_offset(offsets[idx]));
+        let best = others.best_offset(&job, grid, None, 0.0);
+        offsets[idx] = best.offset;
+        placed.push(job.with_offset(best.offset));
+        last = Some((best.count, horizon, !others.segments.is_empty()));
     }
 
     // Coordinate descent refinement: move one job at a time to its best
@@ -306,12 +428,31 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
         .map(|(j, &o)| j.with_offset(o))
         .collect();
     let horizon = hyperperiod(&current, 1e-6);
-    let mut report = contention(&current, samples);
+    let mut runs = Vec::new();
+    // A last placement at `W = 0` over this very horizon saw the whole
+    // mix's demand at `contention`'s own samples (the same jobs, offsets,
+    // horizon and sample count; the profile is a sum, blind to job
+    // order): no sample has `d ≥ 2`, so the excess and contended sums
+    // have no terms and the peak is 1 if any sample is busy.
+    let mut report = match last {
+        Some((0, last_horizon, others_busy)) if last_horizon.to_bits() == horizon.to_bits() => {
+            let busy = others_busy || {
+                let placed_last = placed.last().expect("at least one job");
+                placed_last.comm_samples(horizon, samples, &mut runs);
+                !runs.is_empty()
+            };
+            ContentionReport {
+                peak_overlap: u32::from(busy),
+                contended_time_fraction: 0.0,
+                excess_demand: 0.0,
+            }
+        }
+        _ => contention(&current, samples),
+    };
     let mut mix_excess = Some(report.excess_demand);
     let mut mix_is_zero = report.excess_demand == 0.0;
     let mut moved = false;
     let mut others_buf = Vec::with_capacity(jobs.len());
-    let mut runs = Vec::new();
     for _round in 0..4 {
         if mix_is_zero {
             break;

@@ -213,3 +213,69 @@ fn microsecond_periods_match_reference() {
     ];
     assert_matches_reference(&jobs, 60, 8192);
 }
+
+proptest! {
+    /// Compatible mixes, where greedy placement mostly reaches zero excess
+    /// and so takes the optimizer's first-zero search: 2–5 jobs of 1–4
+    /// bursts on the paper's periods or on the benchmark's, with `a`
+    /// scaled so that `Σa ≤ 0.9`.
+    #[test]
+    fn compatible_mixes_match_reference(
+        benchmark_scale in 0usize..2,
+        mix in proptest::collection::vec((0usize..6, 0.05f64..1.0, 1u32..5), 2..6),
+        total in 0.2f64..0.9,
+    ) {
+        let periods = if benchmark_scale == 1 { &PERIODS[6..] } else { &PERIODS[..6] };
+        let weight: f64 = mix.iter().map(|m| m.1).sum();
+        let jobs: Vec<PeriodicJob> = mix
+            .iter()
+            .map(|&(p, w, bursts)| {
+                PeriodicJob::new(periods[p % periods.len()], w / weight * total, 0.0)
+                    .unwrap()
+                    .with_bursts(bursts)
+            })
+            .collect();
+        assert_matches_reference(&jobs, 60, 1024);
+    }
+}
+
+#[test]
+fn sub_sample_grid_step_matches_reference() {
+    // 4096 candidates per 1 s period against 1024 samples of a 2 s
+    // hyperperiod: each grid step moves a burst by an eighth of a sample.
+    let jobs = [
+        PeriodicJob::new(1.0, 0.3, 0.0).unwrap(),
+        PeriodicJob::new(1.0, 0.25, 0.0).unwrap().with_bursts(2),
+        PeriodicJob::new(2.0, 0.2, 0.0).unwrap(),
+    ];
+    let (grid, samples) = (4096, 1024);
+    assert!(1.0 / (grid as f64) < hyperperiod(&jobs, 1e-6) / samples as f64);
+    assert_matches_reference(&jobs, grid, samples);
+}
+
+#[test]
+fn compatible_microsecond_periods_match_reference() {
+    // `Σa = 0.7`, but the sample spacing is below 1e-9 s: counts do not
+    // decide, so every placement takes the ordered float scan.
+    let jobs = [
+        PeriodicJob::new(2e-6, 0.3, 0.0).unwrap(),
+        PeriodicJob::new(3e-6, 0.2, 0.0).unwrap().with_bursts(2),
+        PeriodicJob::new(3e-6, 0.2, 0.0).unwrap(),
+    ];
+    assert!(hyperperiod(&jobs, 1e-6) / 8192.0 < 1e-9);
+    assert_matches_reference(&jobs, 60, 8192);
+}
+
+#[test]
+fn descent_from_a_zero_incumbent_matches_reference() {
+    // Greedy placement leaves excess here; in the first descent round the
+    // first job moves to zero excess, so the other two are refined
+    // against an incumbent that already has `W = 0`.
+    let jobs = [
+        PeriodicJob::new(1.5, 0.2, 0.0).unwrap(),
+        PeriodicJob::new(1.5, 0.05, 0.0).unwrap().with_bursts(4),
+        PeriodicJob::new(1.5, 0.2, 0.0).unwrap().with_bursts(2),
+    ];
+    assert_eq!(optimize_offsets(&jobs, 60, 1024).report.excess_demand, 0.0);
+    assert_matches_reference(&jobs, 60, 1024);
+}

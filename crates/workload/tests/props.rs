@@ -9,7 +9,7 @@ use mltcp_telemetry::{TelemetryEvent, TelemetrySink};
 use mltcp_transport::sender::TcpSender;
 use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault, ScenarioBuilder};
 use mltcp_workload::stats::{speedup_at, IterationStats};
-use mltcp_workload::JobSpec;
+use mltcp_workload::{models, JobSpec};
 use proptest::prelude::*;
 use std::any::Any;
 
@@ -151,7 +151,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any random mix of 2 to 8 jobs (possibly multi-burst, noisy, offset),
-    /// under any congestion control and through any one bottleneck fault,
+    /// each either synthetic or a GPT-2 or GPT-3 job of the model zoo at
+    /// scale 0.002, under any congestion control and through any one
+    /// bottleneck fault,
     /// runs to completion and records exactly `iterations` records per
     /// job, with strictly increasing iteration timestamps. Every sender
     /// ends idle, and the bytes it reports acknowledged are exactly the
@@ -166,9 +168,33 @@ proptest! {
         seed in 0u64..1_000,
         cc in any_cc(),
         (fault_kind, at_frac, len_us) in (0u32..4, 0.0f64..1.0, 100u64..2_000),
+        sources in proptest::collection::vec(0u32..3, 8),
     ) {
         let bytes = comm_us * 50_000 / 8; // comm_us at 50 Gbps
         let iters = 4u32;
+        let rate = models::paper_bottleneck();
+        let jobs: Vec<JobSpec> = sources[..n_jobs]
+            .iter()
+            .enumerate()
+            .map(|(i, &source)| {
+                let (j, noise) = match source {
+                    0 => (
+                        JobSpec::new(
+                            format!("j{i}"),
+                            SimDuration::micros(compute_us),
+                            bytes,
+                            iters,
+                        )
+                        .with_bursts(bursts),
+                        SimDuration::micros(compute_us / 100),
+                    ),
+                    // Noise of 1% of compute, as for the synthetic jobs.
+                    1 => (models::gpt2(rate, 0.002, iters), SimDuration::micros(31)),
+                    _ => (models::gpt3(rate, 0.002, iters), SimDuration::micros(12)),
+                };
+                j.with_offset(SimDuration::micros(i as u64 * 37)).with_noise(noise)
+            })
+            .collect();
         let mut b = ScenarioBuilder::new(seed);
         if cc.needs_ecn() {
             b = b.bottleneck_queue(QueueKind::EcnDropTail {
@@ -176,20 +202,16 @@ proptest! {
                 mark_threshold_bytes: 100_000,
             });
         }
-        let fault = fault(fault_kind, at_frac, len_us, SimDuration::micros(compute_us + comm_us));
+        let longest = jobs
+            .iter()
+            .map(|j| j.ideal_period(rate))
+            .max()
+            .expect("at least two jobs");
+        let fault = fault(fault_kind, at_frac, len_us, longest);
         if let Some(f) = fault.clone() {
             b = b.bottleneck_fault(f);
         }
-        for i in 0..n_jobs {
-            let j = JobSpec::new(
-                format!("j{i}"),
-                SimDuration::micros(compute_us),
-                bytes,
-                iters,
-            )
-            .with_bursts(bursts)
-            .with_offset(SimDuration::micros(i as u64 * 37))
-            .with_noise(SimDuration::micros(compute_us / 100));
+        for j in jobs {
             b = b.job(j, cc.clone());
         }
         let mut sc = b.build();
