@@ -89,6 +89,23 @@
 //! the latest deadline and still pop where a timer scheduled at that
 //! re-arm would have (see `AgentCtx::rearm_timer` in [`crate::sim`]).
 //!
+//! ## Folded hops
+//!
+//! A switch arrival whose next hop is a single-fed host edge may never
+//! become an event: the feeder's transmit serializes the packet onto the
+//! edge at its switch-arrival time and schedules only the host delivery
+//! (see *Folded hops* in [`crate::sim`]). The arrival's seq is still
+//! reserved at the feeder's transmit, where
+//! [`EventQueue::schedule_delivery_reserved`] would have used it, so the
+//! rest of the numbering keeps its order. The edge's departure seq and the
+//! host delivery's seq are reserved there too, one hop latency before the
+//! switch-arrival pop that would have taken them. That is the one
+//! exception to the tie rule above: the host delivery, and the edge's
+//! departure if a later packet queues behind the folded one and arms it,
+//! now sort before, not after, the events at their very nanosecond that
+//! were scheduled while the packet was on the feeder. No other pair of
+//! events changes order.
+//!
 //! ## Event size
 //!
 //! The heap holds no deliveries: its events carry only a timer, message
@@ -542,6 +559,25 @@ impl EventQueue {
     /// Panics if `at` is earlier than the last delivery pending on `via`.
     pub fn schedule_delivery(&mut self, at: SimTime, via: LinkId, epoch: u32, pkt: Packet) {
         let seq = self.reserve_seq();
+        self.rails.push_delivery(at, seq, via, epoch, pkt);
+    }
+
+    /// Like [`EventQueue::schedule_delivery`], under a `seq` that came
+    /// from [`EventQueue::reserve_seq`] and has not been used since. The
+    /// simulator reserves a switch arrival's seq before it knows whether
+    /// the hop folds (see the module docs, *Folded hops*).
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the last delivery pending on `via`.
+    pub fn schedule_delivery_reserved(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        via: LinkId,
+        epoch: u32,
+        pkt: Packet,
+    ) {
+        debug_assert!(seq < self.next_seq, "delivery under an unreserved seq");
         self.rails.push_delivery(at, seq, via, epoch, pkt);
     }
 

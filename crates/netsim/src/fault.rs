@@ -148,6 +148,19 @@ pub enum FaultAction {
     },
 }
 
+impl FaultAction {
+    /// The channel the action affects.
+    pub fn link(&self) -> LinkId {
+        match *self {
+            FaultAction::LinkDown { link }
+            | FaultAction::LinkUp { link }
+            | FaultAction::SetRateFactor { link, .. }
+            | FaultAction::SetLoss { link, .. }
+            | FaultAction::RestoreLoss { link } => link,
+        }
+    }
+}
+
 /// A fault scheduled at an absolute simulation time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {

@@ -126,6 +126,12 @@ pub struct Channel {
     /// is only when a packet waits behind the one on the wire; otherwise
     /// the channel just goes idle at the key, with no event.
     pub(crate) armed: bool,
+    /// Whether this is a single-fed host edge, whose hops its one feeder
+    /// may fold into its own transmit (see `crate::sim`, *Folded hops*).
+    /// Set when the run starts.
+    pub(crate) single_fed: bool,
+    /// Whether this channel is the feeder of a single-fed host edge.
+    pub(crate) feeds: bool,
     /// Whether the channel is operational. While `false` (fault
     /// injection: [`crate::fault::FaultAction::LinkDown`]) egress is
     /// blocked and arriving traffic queues behind the outage.
@@ -138,9 +144,11 @@ pub struct Channel {
     /// Effective-rate multiplier (fault injection: a brownout sets
     /// `< 1.0`). Serialization time scales by `1 / rate_factor`.
     pub rate_factor: f64,
-    /// Cumulative bytes that completed serialization.
+    /// Cumulative bytes put on the wire. A folded hop counts when its
+    /// feeder starts the packet, so mid-run a single-fed host edge may
+    /// count packets that reach its switch later.
     pub bytes_sent: u64,
-    /// Cumulative packets that completed serialization.
+    /// Cumulative packets put on the wire (folded hops as above).
     pub packets_sent: u64,
     /// Cumulative packets dropped at this channel (queue drops + random
     /// loss).
@@ -164,6 +172,8 @@ impl Channel {
             idle_at: SimTime::ZERO,
             idle_seq: 0,
             armed: false,
+            single_fed: false,
+            feeds: false,
             up: true,
             epoch: 0,
             rate_factor: 1.0,
@@ -258,6 +268,17 @@ mod tests {
         let (slow_done, slow_arrival) = ch.serialize_spans(SimTime(100), 1500);
         assert_eq!(slow_done, SimTime(100) + SimDuration::micros(24));
         assert_eq!(slow_arrival, slow_done + SimDuration::micros(5));
+    }
+
+    /// A channel spans two cache lines; the per-packet path reads several
+    /// of its fields, and a third line costs every hop.
+    #[test]
+    fn channel_stays_two_cache_lines() {
+        assert!(
+            std::mem::size_of::<Channel>() <= 128,
+            "Channel grew to {} bytes",
+            std::mem::size_of::<Channel>()
+        );
     }
 
     #[test]

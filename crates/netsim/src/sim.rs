@@ -18,14 +18,81 @@
 //!   after the propagation delay. Store-and-forward switches re-enqueue
 //!   on the next hop; hosts dispatch to the agent bound to the packet's
 //!   flow.
+//! * A packet that reaches an idle, up channel with an empty queue goes
+//!   straight onto the wire (cut-through).
 //! * All ties are broken deterministically (see [`crate::event`]).
+//!
+//! ## Folded hops
+//!
+//! In the dumbbell every data segment crosses sender edge, bottleneck and
+//! receiver edge, and every ack the reverse. The receiver edge is fed by
+//! the bottleneck alone, and the sender edge by the reverse bottleneck
+//! alone, so the switch arrival in front of each is a pure hand-off: the
+//! packet nearly always cuts through onto an idle edge that nothing else
+//! touches. When
+//! the run starts, the simulator finds every such *single-fed host edge*
+//! `c` (switch → host): a drop-tail queue, no random loss, no fault
+//! installed on `c` or on its feeder, and exactly one ingress channel `g`
+//! on the routes between the hosts where each flow is bound.
+//!
+//! When `g` serializes a packet whose far switch forwards it onto `c`,
+//! the hop folds if `c` is up, empty and idle at the packet's
+//! switch-arrival key and no arrival toward `c` that did not fold is
+//! still in flight. Nothing else can change `c` before the packet
+//! arrives: only `g` feeds it, and no fault touches either. So the
+//! packet is serialized onto `c` at its switch-arrival time right away
+//! and only the host delivery is scheduled; the switch arrival is not an
+//! event. Otherwise the arrival is scheduled as before, and the next
+//! packet for `c` folds only once it has popped.
+//!
+//! Every seq is reserved in the same order as before except the folded
+//! hop's own: `c`'s departure and the host delivery take theirs at the
+//! feeder's transmit rather than at the switch arrival. Among events at
+//! the host delivery's nanosecond, only those scheduled while the packet
+//! was on the feeder can swap with it (see [`crate::event`], *Folded
+//! hops*). In the shipped agents none of those changes a result. The
+//! receiving host's only ingress is `c`, whose deliveries are FIFO.
+//! Messages fire at the instant they are sent, so one sent in that window
+//! fires before the delivery. A timer armed in that window swaps only if
+//! it is shorter than two hop latencies, the least time from the
+//! feeder's transmit to the host delivery. The transports arm one timer,
+//! the sender's RTO, and in the workloads it is longer: its 50 µs floor
+//! exceeds two 20 µs dumbbell hops. Receivers arm none.
+//! A job driver's timer on an ack's receiving host may swap, but the
+//! driver and the senders beside it share no state and talk only through
+//! messages, which fire after both handlers, so the swap moves nothing
+//! but the order of their records within that nanosecond.
+//!
+//! The edge's departure seq is reserved early too, and matters only when
+//! a later, shorter packet reaches the switch while the folded one is
+//! still on the edge: it queues and arms that departure. The one event
+//! at the departure's nanosecond that touches the edge is then a third
+//! packet arriving from the feeder at that very nanosecond. It would now
+//! queue just after the departure rather than just before, so the same
+//! packets leave at the same times, but its queue sample counts one
+//! packet fewer (a drop-tail queue within one packet of its cap could
+//! also admit it where the unfolded path drops it). In the benchmark's
+//! workloads and the figure binaries no packet ever queues on a
+//! single-fed edge; in the fold-equivalence proptest (`mltcp-workload`)
+//! a few do, and none meets that tie. Results there, the benchmark's
+//! replay hashes and every result file are bit-identical with and
+//! without folding.
+//!
+//! Observers stay exact. The folded hop's one-packet `QueueDepth` sample
+//! is held, one FIFO per feeder, until the clock reaches its timestamp,
+//! and is recorded before any later record, so a sink sees the same
+//! records in time order (records within one nanosecond may come in
+//! another order). Folding needs flows to travel only between
+//! hosts where they are bound: a packet that reaches a single-fed edge
+//! through any other ingress panics, and so does a fault installed on a
+//! single-fed edge or its feeder after the run starts.
 
 use crate::event::{Delivery, EventQueue, Popped, PoppedKind};
 use crate::fault::{FaultAction, FaultPlan, LossModel, LossState};
 use crate::link::LinkId;
 use crate::node::{NodeId, NodeKind};
 use crate::packet::{FlowId, Packet};
-use crate::queue::{EnqueueOutcome, LinkQueue};
+use crate::queue::{EnqueueOutcome, LinkQueue, QueueKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -34,6 +101,7 @@ use mltcp_telemetry::{
     DropReason, FaultKind, ProfileSnapshot, SimProfiler, TelemetryEvent, TelemetrySink,
 };
 use std::any::Any;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Labels for the sim-time profiler, in [`SimProfiler::record`] index
@@ -107,13 +175,37 @@ pub struct SimStats {
     /// counts only the departures that a queued packet was waiting for.
     /// Likewise a timer-slot re-arm is not an event; the slot's queued
     /// event counts each time it pops, whether it fires, moves to a later
-    /// deadline or is dropped (see [`AgentCtx::rearm_timer`]).
+    /// deadline or is dropped (see [`AgentCtx::rearm_timer`]). Nor is
+    /// a switch arrival folded into its feeder's transmit (see *Folded
+    /// hops* in the module docs): only its host delivery counts.
     pub events: u64,
     /// Packets delivered to host agents.
     pub delivered: u64,
     /// Packets dropped (queue overflow, eviction, random loss, or no
     /// route).
     pub dropped: u64,
+}
+
+/// A folded hop's `QueueDepth` sample, held until the clock reaches it
+/// (see *Folded hops* in the module docs).
+#[derive(Debug, Clone, Copy)]
+struct HeldSample {
+    at: SimTime,
+    link: u32,
+    bytes: u32,
+}
+
+/// A single-fed host edge's fold state (see *Folded hops* in the module
+/// docs). It lives beside the channel rather than in it, which keeps a
+/// [`Channel`](crate::link::Channel) at two cache lines.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    /// The one channel that feeds the edge.
+    feeder: LinkId,
+    /// The `(time, seq)` key of the latest switch arrival the feeder
+    /// scheduled toward the edge rather than folding: while it is later
+    /// than the event being dispatched, that arrival is in flight.
+    pending: (SimTime, u64),
 }
 
 /// An agent's re-armable timer (see [`AgentCtx::rearm_timer`]), as
@@ -171,9 +263,58 @@ struct SimCore {
     /// disabled path costs one predictable branch per would-be event.
     /// Sinks observe — they can never touch the event queue or RNGs.
     sink: Option<Box<dyn TelemetrySink>>,
+    /// Per link, for a single-fed host edge: its fold state. Empty when
+    /// no edge folds (see *Folded hops* in the module docs).
+    folds: Vec<Fold>,
+    /// Feeders of single-fed host edges, in link order.
+    feeders: Vec<LinkId>,
+    /// Per feeder link: the `QueueDepth` samples of its folded hops, in
+    /// time order. Filled only while a sink is installed.
+    held: Vec<VecDeque<HeldSample>>,
+    /// The earliest held sample's time; [`SimTime::MAX`] when none is
+    /// held.
+    held_due: SimTime,
 }
 
 impl SimCore {
+    /// The installed sink, if any, once every held sample the clock has
+    /// reached is recorded on it. Every record goes through here, so the
+    /// sink sees held samples in time order with the rest.
+    #[inline]
+    fn sink(&mut self) -> Option<&mut Box<dyn TelemetrySink>> {
+        self.sink.as_ref()?;
+        if self.held_due <= self.now {
+            self.release_held(self.now);
+        }
+        self.sink.as_mut()
+    }
+
+    /// Records the held samples at or before `upto` on the sink (dropping
+    /// them without one), earliest first across feeders.
+    #[cold]
+    fn release_held(&mut self, upto: SimTime) {
+        loop {
+            let next = self
+                .feeders
+                .iter()
+                .filter_map(|f| self.held[f.index()].front().map(|h| (h.at, f.index())))
+                .min();
+            self.held_due = next.map_or(SimTime::MAX, |(at, _)| at);
+            let Some((_, fi)) = next.filter(|&(at, _)| at <= upto) else {
+                return;
+            };
+            let h = self.held[fi].pop_front().expect("a held sample");
+            if let Some(sink) = self.sink.as_mut() {
+                sink.record(&TelemetryEvent::QueueDepth {
+                    t_ns: h.at.as_nanos(),
+                    link: h.link,
+                    bytes: u64::from(h.bytes),
+                    packets: 1,
+                });
+            }
+        }
+    }
+
     /// The agent bound to `flow` at `node`, if any.
     fn bound_agent(&self, flow: FlowId, node: NodeId) -> Option<AgentId> {
         self.flow_tables[node.index()]
@@ -193,9 +334,10 @@ impl SimCore {
         // backlog), so the packet goes straight to the serializer. A sink
         // gets the one-packet queue sample the enqueue would have given.
         if !busy && self.topo.channels[li].up && self.queues[li].passes_through(pkt.wire_bytes) {
-            if let Some(sink) = self.sink.as_mut() {
+            let now = self.now;
+            if let Some(sink) = self.sink() {
                 sink.record(&TelemetryEvent::QueueDepth {
-                    t_ns: self.now.as_nanos(),
+                    t_ns: now.as_nanos(),
                     link: li as u32,
                     bytes: u64::from(pkt.wire_bytes),
                     packets: 1,
@@ -206,31 +348,8 @@ impl SimCore {
         }
         let flow = pkt.flow;
         match self.queues[li].enqueue(pkt) {
-            EnqueueOutcome::Accepted => {
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.record(&TelemetryEvent::QueueDepth {
-                        t_ns: self.now.as_nanos(),
-                        link: li as u32,
-                        bytes: self.queues[li].backlog_bytes(),
-                        packets: self.queues[li].backlog_packets() as u32,
-                    });
-                }
-            }
-            EnqueueOutcome::AcceptedMarked => {
-                if let Some(sink) = self.sink.as_mut() {
-                    sink.record(&TelemetryEvent::EcnMark {
-                        t_ns: self.now.as_nanos(),
-                        link: li as u32,
-                        flow: flow.0,
-                    });
-                    sink.record(&TelemetryEvent::QueueDepth {
-                        t_ns: self.now.as_nanos(),
-                        link: li as u32,
-                        bytes: self.queues[li].backlog_bytes(),
-                        packets: self.queues[li].backlog_packets() as u32,
-                    });
-                }
-            }
+            EnqueueOutcome::Accepted => self.sample_backlog(li, None),
+            EnqueueOutcome::AcceptedMarked => self.sample_backlog(li, Some(flow)),
             EnqueueOutcome::DroppedArrival(p) => {
                 self.drop_packet(link, p.flow, DropReason::QueueFull);
             }
@@ -243,6 +362,34 @@ impl SimCore {
         } else if !self.queues[li].is_empty() {
             self.arm_departure(link);
         }
+    }
+
+    /// Records channel `li`'s backlog after an enqueue on the sink, if
+    /// one is installed, after the ECN mark of `marked`'s packet if any.
+    fn sample_backlog(&mut self, li: usize, marked: Option<FlowId>) {
+        if self.sink.is_none() {
+            return;
+        }
+        let t_ns = self.now.as_nanos();
+        let (bytes, packets) = (
+            self.queues[li].backlog_bytes(),
+            self.queues[li].backlog_packets() as u32,
+        );
+        let link = li as u32;
+        let sink = self.sink().expect("a sink is installed");
+        if let Some(flow) = marked {
+            sink.record(&TelemetryEvent::EcnMark {
+                t_ns,
+                link,
+                flow: flow.0,
+            });
+        }
+        sink.record(&TelemetryEvent::QueueDepth {
+            t_ns,
+            link,
+            bytes,
+            packets,
+        });
     }
 
     /// Begins serializing the next queued packet, if any, and arms the
@@ -277,19 +424,19 @@ impl SimCore {
         }
     }
 
-    /// Serializes `pkt` on an idle, up channel: reserves the departure's
-    /// seq (the departure becomes an event only if a packet queues behind
-    /// this one, see [`SimCore::arm_departure`]) and schedules the
-    /// delivery unless loss fires. Shared tail of [`SimCore::start_tx`]
-    /// and the cut-through path in [`SimCore::enqueue_on`].
-    fn transmit(&mut self, link: LinkId, pkt: Packet) {
+    /// Puts `pkt` on idle, up channel `link`'s wire from `start`: counts
+    /// and traces it and reserves its departure's seq (the departure
+    /// becomes an event only if a packet queues behind this one, see
+    /// [`SimCore::arm_departure`]). Returns when it reaches the far node
+    /// and the channel's epoch.
+    #[inline(always)]
+    fn put_on_wire(&mut self, link: LinkId, start: SimTime, pkt: &Packet) -> (SimTime, u32) {
         let li = link.index();
         let ch = &mut self.topo.channels[li];
         debug_assert!(!ch.armed, "transmit with a departure pending");
-        let (done, arrival) = ch.serialize_spans(self.now, pkt.wire_bytes);
+        let (done, arrival) = ch.serialize_spans(start, pkt.wire_bytes);
         ch.bytes_sent += u64::from(pkt.wire_bytes);
         ch.packets_sent += 1;
-        let epoch = ch.epoch;
         if let Some(trace) = self.traces[li].as_mut() {
             trace.record(done, pkt.flow, pkt.wire_bytes);
         }
@@ -298,14 +445,65 @@ impl SimCore {
         // every later event gets the same seq either way (`crate::event`).
         ch.idle_at = done;
         ch.idle_seq = self.events.reserve_seq();
+        (arrival, ch.epoch)
+    }
+
+    /// Serializes `pkt` on an idle, up channel and schedules its delivery
+    /// unless loss fires; a feeder hands it to [`SimCore::feed`] instead.
+    /// Shared tail of [`SimCore::start_tx`] and the cut-through path in
+    /// [`SimCore::enqueue_on`].
+    fn transmit(&mut self, link: LinkId, pkt: Packet) {
+        let (arrival, epoch) = self.put_on_wire(link, self.now, &pkt);
+        let li = link.index();
         // Loss applies to every packet — acks included: a lossy wire does
         // not know about TCP semantics. Draws come from the link's own
         // stream so drop patterns are interleaving-independent.
         if self.loss[li].drops_packet(&mut self.link_rngs[li]) {
             self.drop_packet(link, pkt.flow, DropReason::RandomLoss);
+        } else if self.topo.channels[li].feeds {
+            self.feed(link, epoch, arrival, pkt);
         } else {
             self.events.schedule_delivery(arrival, link, epoch, pkt);
         }
+    }
+
+    /// Delivers `pkt`, leaving feeder `link`, to its far switch at
+    /// `arrival`, folding the switch's hop onto a single-fed host edge
+    /// when it can (see *Folded hops* in the module docs). The arrival's
+    /// seq is reserved either way, where an unfolded one takes it. Kept
+    /// out of line: runs without a single-fed edge never call it.
+    #[inline(never)]
+    fn feed(&mut self, link: LinkId, epoch: u32, arrival: SimTime, pkt: Packet) {
+        let seq = self.events.reserve_seq();
+        let switch = self.topo.channels[link.index()].to;
+        if let Some(edge) = self.topo.next_hop(switch, pkt.dst) {
+            let ei = edge.index();
+            let ch = &self.topo.channels[ei];
+            if ch.single_fed && self.folds[ei].feeder == link {
+                if self.folds[ei].pending <= (self.now, self.seq)
+                    && ch.up
+                    && !ch.busy(arrival, seq)
+                    && self.queues[ei].passes_through(pkt.wire_bytes)
+                {
+                    if self.sink.is_some() {
+                        self.held[link.index()].push_back(HeldSample {
+                            at: arrival,
+                            link: ei as u32,
+                            bytes: pkt.wire_bytes,
+                        });
+                        self.held_due = self.held_due.min(arrival);
+                    }
+                    // The edge has no loss to draw: no random loss, and
+                    // no fault to install one.
+                    let (at, edge_epoch) = self.put_on_wire(edge, arrival, &pkt);
+                    self.events.schedule_delivery(at, edge, edge_epoch, pkt);
+                    return;
+                }
+                self.folds[ei].pending = (arrival, seq);
+            }
+        }
+        self.events
+            .schedule_delivery_reserved(arrival, seq, link, epoch, pkt);
     }
 
     /// Handles `agent`'s slot event popping at the current `(now, seq)`
@@ -337,9 +535,10 @@ impl SimCore {
 
     /// Records a fault epoch on the sink, if one is installed.
     fn emit_fault(&mut self, link: LinkId, kind: FaultKind, factor: f64) {
-        if let Some(sink) = self.sink.as_mut() {
+        let t_ns = self.now.as_nanos();
+        if let Some(sink) = self.sink() {
             sink.record(&TelemetryEvent::Fault {
-                t_ns: self.now.as_nanos(),
+                t_ns,
                 link: link.index() as u32,
                 kind,
                 factor,
@@ -404,9 +603,10 @@ impl SimCore {
         if link != LinkId::NONE {
             self.topo.channels[link.index()].packets_dropped += 1;
         }
-        if let Some(sink) = self.sink.as_mut() {
+        let t_ns = self.now.as_nanos();
+        if let Some(sink) = self.sink() {
             sink.record(&TelemetryEvent::Drop {
-                t_ns: self.now.as_nanos(),
+                t_ns,
                 link: link.0,
                 flow: flow.0,
                 reason,
@@ -414,15 +614,40 @@ impl SimCore {
         }
     }
 
-    /// Routes a packet out of `node` toward its destination. Inlined into
-    /// the dispatcher like [`Simulator::with_agent`], for the same reason.
+    /// Routes a packet that arrived at `node` over `via` ([`LinkId::NONE`]
+    /// for a host's own send) toward its destination. Inlined into the
+    /// dispatcher like [`Simulator::with_agent`], for the same reason.
+    ///
+    /// # Panics
+    /// Panics if the next hop is a single-fed host edge and `via` is not
+    /// its feeder (see *Folded hops* in the module docs).
     #[inline(always)]
-    fn forward(&mut self, node: NodeId, pkt: Packet) {
+    fn forward(&mut self, node: NodeId, via: LinkId, pkt: Packet) {
         match self.topo.next_hop(node, pkt.dst) {
-            Some(link) => self.enqueue_on(link, pkt),
+            Some(link) => {
+                if self.topo.channels[link.index()].single_fed {
+                    let feeder = self.folds[link.index()].feeder;
+                    if feeder != via {
+                        off_path(pkt.flow, via, link, feeder);
+                    }
+                }
+                self.enqueue_on(link, pkt);
+            }
             None => self.drop_packet(LinkId::NONE, pkt.flow, DropReason::NoRoute),
         }
     }
+}
+
+/// The contract breach of a packet reaching single-fed host edge `edge`
+/// over `via`, not over its feeder.
+#[cold]
+#[inline(never)]
+fn off_path(flow: FlowId, via: LinkId, edge: LinkId, feeder: LinkId) -> ! {
+    panic!(
+        "flow {} reached single-fed host edge {edge:?} over {via:?}, not its feeder \
+         {feeder:?}: flows must travel only between hosts where they are bound",
+        flow.0
+    );
 }
 
 const _: () = assert!(LinkId::NONE.0 == TelemetryEvent::NO_LINK);
@@ -452,6 +677,13 @@ impl AgentCtx<'_> {
     /// Sends a packet into the network from this agent's host. Packets to
     /// the host itself are delivered (via the event queue's loopback
     /// rail, at the current instant) without touching any link.
+    ///
+    /// # Panics
+    /// A packet must go to a host that binds its flow, from a host that
+    /// does (see [`Simulator::bind_flow`]). One that does not, and whose
+    /// route enters a single-fed host edge's switch other than over the
+    /// edge's feeder, panics there (see *Folded hops* in the module
+    /// docs).
     pub fn send(&mut self, pkt: Packet) {
         let host = self.node();
         if pkt.dst == host {
@@ -459,7 +691,7 @@ impl AgentCtx<'_> {
             self.core.events.schedule_delivery(at, LinkId::NONE, 0, pkt);
             return;
         }
-        self.core.forward(host, pkt);
+        self.core.forward(host, LinkId::NONE, pkt);
     }
 
     /// Arms a timer to fire `after` from now with an opaque `token`
@@ -528,7 +760,7 @@ impl AgentCtx<'_> {
     /// simulation.
     #[inline]
     pub fn emit(&mut self, ev: TelemetryEvent) {
-        if let Some(sink) = self.core.sink.as_mut() {
+        if let Some(sink) = self.core.sink() {
             sink.record(&ev);
         }
     }
@@ -585,6 +817,10 @@ impl Simulator {
                 slots: Vec::new(),
                 stats: SimStats::default(),
                 sink: None,
+                folds: Vec::new(),
+                feeders: Vec::new(),
+                held: Vec::new(),
+                held_due: SimTime::MAX,
             },
             agents: Vec::new(),
             started: false,
@@ -623,6 +859,13 @@ impl Simulator {
     /// Routes packets of `flow` arriving at the agent's host to that
     /// agent. Both endpoints of a transport connection bind the same flow
     /// id on their respective hosts.
+    ///
+    /// The bindings in place when the run starts also say which routes
+    /// flows take, and so which host edges are single-fed and fold (see
+    /// *Folded hops* in the module docs). Packets of a flow must travel
+    /// only between hosts that bind it; one that reaches a single-fed
+    /// edge through another ingress panics. A flow bound at one host only
+    /// puts no route in the plan.
     pub fn bind_flow(&mut self, flow: FlowId, agent: AgentId) {
         let host = self.agents[agent.0].host;
         let table = &mut self.core.flow_tables[host.index()];
@@ -636,7 +879,25 @@ impl Simulator {
     /// the deterministic queue, so faults interleave with packet events
     /// reproducibly. May be called multiple times (plans accumulate) and
     /// at any point before the faults' times are reached.
+    ///
+    /// A fault installed before the run starts keeps its channel, and
+    /// the edge that channel feeds, from folding (see *Folded hops* in
+    /// the module docs).
+    ///
+    /// # Panics
+    /// Panics if the run has started and a fault names a single-fed host
+    /// edge or its feeder: hops already folded assumed neither would
+    /// change.
     pub fn install_faults(&mut self, plan: &FaultPlan) {
+        for f in &plan.faults {
+            let link = f.action.link();
+            let ch = &self.core.topo.channels[link.index()];
+            assert!(
+                !ch.single_fed && !ch.feeds,
+                "fault on {link:?} after the run started: it is a single-fed host edge \
+                 or its feeder, whose hops fold; install faults before the run"
+            );
+        }
         for f in &plan.faults {
             let index = self.core.faults.len() as u32;
             self.core.faults.push(f.action);
@@ -650,15 +911,24 @@ impl Simulator {
     }
 
     /// Installs a telemetry sink; subsequent simulation activity streams
-    /// structured events into it. Replaces any previous sink.
+    /// structured events into it. Replaces any previous sink, which first
+    /// records the held samples of folded hops that the clock has reached
+    /// (see *Folded hops* in the module docs); the new sink gets the
+    /// rest. Hops that folded while no sink was installed hold no sample,
+    /// so a sink installed mid-run misses the queue samples of packets
+    /// then on a feeder, at most one hop latency's worth.
     pub fn set_sink(&mut self, sink: Box<dyn TelemetrySink>) {
+        self.core.release_held(self.core.now);
         self.core.sink = Some(sink);
     }
 
     /// Detaches the telemetry sink (flushed), e.g. to downcast a
-    /// recorder back to its concrete type after a run.
+    /// recorder back to its concrete type after a run. It first records
+    /// the held samples the clock has reached; later ones are dropped.
     pub fn take_sink(&mut self) -> Option<Box<dyn TelemetrySink>> {
+        self.core.release_held(self.core.now);
         let mut sink = self.core.sink.take()?;
+        self.core.release_held(SimTime::MAX);
         sink.flush();
         Some(sink)
     }
@@ -731,12 +1001,92 @@ impl Simulator {
             return;
         }
         self.started = true;
+        self.plan_folds();
         for i in 0..self.agents.len() {
             self.with_agent(i, |agent, ctx| agent.start(ctx));
             if let Some(p) = self.profiler.as_mut() {
                 p.record(PROFILE_AGENT_START, None);
             }
         }
+    }
+
+    /// Finds the single-fed host edges and their feeders (see *Folded
+    /// hops* in the module docs): walks the route between every two hosts
+    /// that bind the same flow and notes, for each switch → host channel
+    /// on it, the channel before it. An edge folds if exactly one channel
+    /// feeds it, its queue is drop-tail, it has no random loss, and no
+    /// fault is installed on it or on its feeder.
+    fn plan_folds(&mut self) {
+        /// The ingress channels seen in front of a host edge.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Fed {
+            Never,
+            By(LinkId),
+            Many,
+        }
+        let core = &mut self.core;
+        let topo = &core.topo;
+        let mut bound: Vec<(FlowId, NodeId)> = core
+            .flow_tables
+            .iter()
+            .enumerate()
+            .flat_map(|(node, table)| table.iter().map(move |&(f, _)| (f, NodeId(node as u32))))
+            .collect();
+        bound.sort_unstable();
+        let mut fed = vec![Fed::Never; topo.channels.len()];
+        for hosts in bound.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, src) in hosts {
+                for &(_, dst) in hosts.iter().filter(|&&(_, h)| h != src) {
+                    // The walk ends at the first host: hosts do not forward.
+                    let (mut node, mut prev) = (src, LinkId::NONE);
+                    while let Some(link) = topo.next_hop(node, dst) {
+                        let ch = &topo.channels[link.index()];
+                        if topo.nodes[ch.to.index()].is_host() {
+                            // A switch → host channel; the first hop leaves
+                            // a host and has no feeder.
+                            if prev != LinkId::NONE {
+                                let f = &mut fed[link.index()];
+                                *f = match *f {
+                                    Fed::Never => Fed::By(prev),
+                                    Fed::By(g) if g == prev => Fed::By(g),
+                                    _ => Fed::Many,
+                                };
+                            }
+                            break;
+                        }
+                        (node, prev) = (ch.to, link);
+                    }
+                }
+            }
+        }
+        let faulted: Vec<LinkId> = core.faults.iter().map(FaultAction::link).collect();
+        for (li, f) in fed.into_iter().enumerate() {
+            let Fed::By(feeder) = f else { continue };
+            let edge = LinkId(li as u32);
+            let spec = &core.topo.channels[li].spec;
+            if matches!(spec.queue, QueueKind::DropTail { .. })
+                && spec.loss_probability == 0.0
+                && !faulted.contains(&edge)
+                && !faulted.contains(&feeder)
+            {
+                if core.folds.is_empty() {
+                    let unfolded = Fold {
+                        feeder: LinkId::NONE,
+                        pending: (SimTime::ZERO, 0),
+                    };
+                    core.folds = vec![unfolded; core.topo.channels.len()];
+                    core.held = (0..core.topo.channels.len())
+                        .map(|_| VecDeque::new())
+                        .collect();
+                }
+                core.folds[li].feeder = feeder;
+                core.topo.channels[li].single_fed = true;
+                core.topo.channels[feeder.index()].feeds = true;
+                core.feeders.push(feeder);
+            }
+        }
+        core.feeders.sort_unstable();
+        core.feeders.dedup();
     }
 
     /// Temporarily removes an agent from its slot so it can borrow the
@@ -816,6 +1166,11 @@ impl Simulator {
         } else {
             while self.step::<false>(deadline) {}
         }
+        // The clock reaches the deadline (or passed every folded hop, if
+        // the queue drained): their held samples are due.
+        if self.core.held_due <= deadline {
+            self.core.release_held(deadline);
+        }
     }
 
     /// Dispatches one popped event at its `(time, seq)`.
@@ -849,7 +1204,7 @@ impl Simulator {
                     }
                 };
                 match self.core.topo.nodes[node.index()].kind {
-                    NodeKind::Switch => self.core.forward(node, p),
+                    NodeKind::Switch => self.core.forward(node, via, p),
                     NodeKind::Host => match self.core.bound_agent(p.flow, node) {
                         Some(agent) => {
                             self.core.stats.delivered += 1;
@@ -2081,5 +2436,186 @@ mod tests {
         // First packet serializes immediately (already in flight), but
         // the urgent flow-2 packet overtakes flow 1's queued seq-1000.
         assert_eq!(sim.agent::<Recorder>(rec).seqs, vec![0, 2000, 1000]);
+    }
+
+    /// Every switch → host channel of `sim`'s topology.
+    fn host_edges(sim: &Simulator) -> Vec<LinkId> {
+        let topo = sim.topology();
+        topo.channels
+            .iter()
+            .filter(|c| topo.nodes[c.to.index()].is_host() && !topo.nodes[c.from.index()].is_host())
+            .map(|c| c.id)
+            .collect()
+    }
+
+    /// Two ping-pong pairs across the default dumbbell, both ends of each
+    /// flow bound, so the receiver edges fold data and the sender edges
+    /// fold acks. `reference` installs a no-op `RestoreLoss` at t = 0 on
+    /// every host edge, which keeps every hop unfolded. A ring recorder
+    /// is attached.
+    fn folding_dumbbell(reference: bool) -> (Simulator, Vec<AgentId>) {
+        use crate::topology::{build_dumbbell, DumbbellSpec};
+        use mltcp_telemetry::RingRecorder;
+        let (topo, d) = build_dumbbell(DumbbellSpec::default());
+        let mut sim = Simulator::new(topo, 5);
+        let mut pingers = Vec::new();
+        for i in 0..2 {
+            let flow = FlowId(i as u64 + 1);
+            let pinger = sim.add_agent(
+                d.senders[i],
+                Pinger {
+                    peer: d.receivers[i],
+                    flow,
+                    pkts: 150,
+                    echoes: 0,
+                    last_echo_at: SimTime::ZERO,
+                },
+            );
+            let echoer = sim.add_agent(d.receivers[i], Echoer { received: 0 });
+            sim.bind_flow(flow, pinger);
+            sim.bind_flow(flow, echoer);
+            pingers.push(pinger);
+        }
+        if reference {
+            let mut plan = FaultPlan::new();
+            for link in host_edges(&sim) {
+                plan = plan.at(SimTime::ZERO, FaultAction::RestoreLoss { link });
+            }
+            sim.install_faults(&plan);
+        }
+        sim.set_sink(Box::new(RingRecorder::new(1 << 16)));
+        (sim, pingers)
+    }
+
+    /// The recorder's records as sortable strings, fault records (the
+    /// reference path's no-op faults) left out.
+    fn recorded(sim: &mut Simulator) -> Vec<(u64, String)> {
+        use mltcp_telemetry::RingRecorder;
+        let rec = sim
+            .take_sink()
+            .expect("sink attached")
+            .into_any()
+            .downcast::<RingRecorder>()
+            .expect("ring recorder");
+        assert_eq!(rec.overwritten(), 0, "ring too small for this test");
+        rec.events()
+            .iter()
+            .filter(|e| !matches!(e, TelemetryEvent::Fault { .. }))
+            .map(|e| (e.t_ns(), format!("{e:?}")))
+            .collect()
+    }
+
+    /// Folding removes events and nothing else: the same echoes, clock,
+    /// deliveries and drops, and a sink sees the same records in time
+    /// order.
+    #[test]
+    fn folded_hops_keep_results_and_records() {
+        let run = |reference: bool| {
+            let (mut sim, pingers) = folding_dumbbell(reference);
+            sim.run();
+            let echoes: Vec<_> = pingers
+                .iter()
+                .map(|&p| {
+                    let p = sim.agent::<Pinger>(p);
+                    (p.echoes, p.last_echo_at)
+                })
+                .collect();
+            let records = recorded(&mut sim);
+            (echoes, sim.now(), sim.stats(), records)
+        };
+        let (echoes, now, stats, records) = run(false);
+        let (ref_echoes, ref_now, ref_stats, ref_records) = run(true);
+        assert_eq!(echoes, ref_echoes);
+        assert_eq!(echoes[0].0, 150);
+        assert_eq!(now, ref_now);
+        assert_eq!(
+            (stats.delivered, stats.dropped),
+            (ref_stats.delivered, ref_stats.dropped)
+        );
+        // The receiver edges run at twice the bottleneck's rate, so every
+        // one of the 300 data and 300 ack switch arrivals in front of a
+        // host edge folds; the reference path also pops its four faults.
+        assert_eq!(stats.events + 600 + 4, ref_stats.events);
+        assert!(
+            records.windows(2).all(|w| w[0].0 <= w[1].0),
+            "records out of time order"
+        );
+        let sorted = |mut r: Vec<(u64, String)>| {
+            r.sort();
+            r
+        };
+        assert_eq!(sorted(records), sorted(ref_records));
+    }
+
+    /// A held sample is recorded once the clock reaches it, and not
+    /// before: a `run_until` slice records exactly the reference path's
+    /// samples up to its deadline.
+    #[test]
+    fn run_until_records_no_sample_past_its_deadline() {
+        let deadline = SimTime(150_000);
+        let sliced = |reference: bool| {
+            let (mut sim, _) = folding_dumbbell(reference);
+            sim.run_until(deadline);
+            let mut records = recorded(&mut sim);
+            records.sort();
+            records
+        };
+        let records = sliced(false);
+        assert!(records.iter().all(|r| r.0 <= deadline.as_nanos()));
+        assert!(
+            records.iter().any(|r| r.0 > 140_000),
+            "the slice should end mid-transfer"
+        );
+        assert_eq!(records, sliced(true));
+    }
+
+    /// A packet that reaches a single-fed edge through another ingress
+    /// breaks the folding contract and panics, naming the flow and edge.
+    #[test]
+    #[should_panic(expected = "flow 1 reached single-fed host edge LinkId(")]
+    fn off_path_packet_into_a_single_fed_edge_panics() {
+        use crate::topology::{build_dumbbell, DumbbellSpec};
+        let (topo, d) = build_dumbbell(DumbbellSpec::default());
+        let mut sim = Simulator::new(topo, 5);
+        let flow = FlowId(1);
+        let echoer = sim.add_agent(d.receivers[0], Echoer { received: 0 });
+        let pinger = sim.add_agent(
+            d.senders[0],
+            Pinger {
+                peer: d.receivers[0],
+                flow,
+                pkts: 1,
+                echoes: 0,
+                last_echo_at: SimTime::ZERO,
+            },
+        );
+        sim.bind_flow(flow, pinger);
+        sim.bind_flow(flow, echoer);
+        // Receiver 1 sends flow 1, bound only at sender 0 and receiver 0,
+        // to receiver 0: it enters that edge's switch from receiver 1's
+        // edge, not from the bottleneck that feeds the edge.
+        sim.add_agent(
+            d.receivers[1],
+            Pinger {
+                peer: d.receivers[0],
+                flow,
+                pkts: 1,
+                echoes: 0,
+                last_echo_at: SimTime::ZERO,
+            },
+        );
+        sim.run();
+    }
+
+    /// A fault installed after the start on a single-fed edge panics;
+    /// before the start it only keeps the edge from folding.
+    #[test]
+    #[should_panic(expected = "after the run started")]
+    fn fault_on_a_single_fed_edge_after_the_start_panics() {
+        let (mut sim, _) = folding_dumbbell(false);
+        let edge = host_edges(&sim)[0];
+        let plan = FaultPlan::new().at(SimTime(200_000), FaultAction::RestoreLoss { link: edge });
+        sim.run_until(SimTime(100_000));
+        sim.install_faults(&plan);
     }
 }

@@ -475,6 +475,11 @@ pub fn optimize_offsets(jobs: &[PeriodicJob], grid: usize, samples: usize) -> In
             }
             mix_excess = best.excess;
             mix_is_zero = best.count == 0;
+            // Every later job's incumbent is now at `W = 0`, which no
+            // candidate beats by the margin: none of them would move.
+            if mix_is_zero {
+                break;
+            }
         }
         if !improved {
             break;
