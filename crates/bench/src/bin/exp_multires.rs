@@ -70,7 +70,7 @@ fn main() {
         ("fair (F = 1)", &runs[1]),
     ] {
         for (i, r) in results.iter().enumerate() {
-            let series: Vec<f64> = r.iteration_times.iter().map(|t| t / ideal).collect();
+            let series: Vec<f64> = r.durations().iter().map(|t| t / ideal).collect();
             fig.metric(
                 format!("{label}: job{} steady (x ideal)", i + 1),
                 r.tail_mean(5) / ideal,

@@ -11,7 +11,8 @@
 //! each seeding its own RNG from the σ index.
 
 use mltcp_bench::{seed, Figure, Series};
-use mltcp_core::noise::{predicted_error_stddev, NoisyDescent};
+use mltcp_core::gradient::Descent;
+use mltcp_core::noise::predicted_error_stddev;
 use mltcp_core::params::MltcpParams;
 use mltcp_core::shift::ShiftFunction;
 use mltcp_netsim::rng::SimRng;
@@ -20,7 +21,7 @@ use mltcp_workload::SweepRunner;
 fn main() {
     let period = 1.8;
     let shift = ShiftFunction::new(MltcpParams::PAPER, period, 0.5).expect("valid geometry");
-    let nd = NoisyDescent::new(shift);
+    let descent = Descent::new(shift);
     let reference = period / 2.0; // the a = 1/2 optimum
 
     let mut fig = Figure::new(
@@ -31,7 +32,7 @@ fn main() {
     let sigmas = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032];
     let rows = SweepRunner::new().run(&sigmas, |i, &sigma| {
         let mut rng = SimRng::new(seed() + i as u64);
-        let stats = nd.steady_state(0.3, reference, 3000, 20_000, || rng.gaussian(0.0, sigma));
+        let stats = descent.steady_state(0.3, reference, 3000, 20_000, || rng.gaussian(0.0, sigma));
         let pred = predicted_error_stddev(MltcpParams::PAPER, sigma);
         (sigma, stats.stddev, pred)
     });

@@ -9,7 +9,11 @@
 //! zero there). [`Descent`] iterates the map deterministically;
 //! [`Descent::run`] iterates until convergence and reports how many
 //! iterations it took (the paper observes ~20 for its testbed mixes).
+//! [`Descent::steady_state`] iterates the §4 perturbed map
+//! `Δ_{i+1} = Δ_i + Shift(Δ_i) + ε_i` and summarizes where it settles
+//! (see [`crate::noise`]).
 
+use crate::noise::{deviation_stats, SteadyStateStats};
 use crate::shift::ShiftFunction;
 
 /// Outcome of running the iteration map to convergence.
@@ -49,15 +53,49 @@ impl Descent {
         Self { shift }
     }
 
-    /// One application of the iteration map, wrapping into `[0, T)`.
+    /// One application of the iteration map, wrapping into `[0, T)`: the
+    /// noise-free case of the perturbed map [`Descent::steady_state`]
+    /// iterates.
     pub fn step(&self, delta: f64) -> f64 {
+        self.perturbed_step(delta, 0.0)
+    }
+
+    /// `Δ + Shift(Δ) + ε`, wrapped into `[0, T)`; `noise` (`ε`) is the
+    /// two jobs' iteration-time perturbation difference for this
+    /// iteration.
+    fn perturbed_step(&self, delta: f64, noise: f64) -> f64 {
         let t = self.shift.period;
-        let next = delta + self.shift.eval_periodic(delta);
-        let mut d = next % t;
+        let mut d = (delta + self.shift.eval_periodic(delta) + noise) % t;
         if d < 0.0 {
             d += t;
         }
         d
+    }
+
+    /// Runs `warmup + samples` perturbed steps from `delta0`, drawing
+    /// each step's `ε` from `noise` (the caller's seeded generator, which
+    /// keeps this crate free of RNG dependencies), and summarizes the
+    /// post-warmup deviation from `reference`, the noise-free optimum
+    /// (e.g. `T/2` for `a = 1/2`). At least one sample is taken.
+    pub fn steady_state<N: FnMut() -> f64>(
+        &self,
+        delta0: f64,
+        reference: f64,
+        warmup: usize,
+        samples: usize,
+        mut noise: N,
+    ) -> SteadyStateStats {
+        let mut d = delta0;
+        for _ in 0..warmup {
+            d = self.perturbed_step(d, noise());
+        }
+        let trajectory: Vec<f64> = (0..samples.max(1))
+            .map(|_| {
+                d = self.perturbed_step(d, noise());
+                d
+            })
+            .collect();
+        deviation_stats(&trajectory, reference, self.shift.period)
     }
 
     /// Runs from `delta0` until the per-iteration movement is below `tol`

@@ -12,14 +12,14 @@
 //! ```
 //!
 //! — i.e. the approximation error is *linearly* bounded by the system's
-//! noise intensity. This module provides the predicted bound and a noisy
-//! version of the gradient-descent iteration map for Monte-Carlo
-//! validation (`exp_noise_error` in `mltcp-bench` sweeps σ and compares
-//! the empirical steady-state spread against this prediction).
+//! noise intensity. This module provides the predicted bound and the
+//! steady-state statistics that check it. The perturbed iteration map is
+//! [`crate::gradient::Descent::steady_state`], which the Monte-Carlo
+//! validation runs (`exp_noise_error` in `mltcp-bench` sweeps σ and
+//! compares the empirical steady-state spread against this prediction).
 
 use crate::gradient::circular_distance;
 use crate::params::MltcpParams;
-use crate::shift::ShiftFunction;
 
 /// The predicted steady-state error's standard deviation,
 /// `2σ(1 + Intercept/Slope)`.
@@ -40,78 +40,6 @@ pub struct SteadyStateStats {
     pub samples: usize,
 }
 
-/// A noisy version of the two-job iteration map:
-/// `Δ_{i+1} = Δ_i + Shift(Δ_i) + ε_i`, with `ε_i` supplied by the caller
-/// (keeping this crate free of RNG dependencies; tests and benches feed
-/// Gaussian samples from their own seeded generators).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoisyDescent {
-    shift: ShiftFunction,
-}
-
-impl NoisyDescent {
-    /// Builds the noisy descent around a shift function.
-    pub fn new(shift: ShiftFunction) -> Self {
-        Self { shift }
-    }
-
-    /// One noisy step; `noise` is the iteration-time perturbation
-    /// difference between the two jobs for this iteration.
-    pub fn step(&self, delta: f64, noise: f64) -> f64 {
-        let t = self.shift.period;
-        let mut d = (delta + self.shift.eval_periodic(delta) + noise) % t;
-        if d < 0.0 {
-            d += t;
-        }
-        d
-    }
-
-    /// Runs `warmup + samples` steps from `delta0`, feeding per-step noise
-    /// from `noise_source`, and summarizes the post-warmup deviation from
-    /// `reference` (the noise-free optimum, e.g. `T/2` for `a = 1/2`).
-    pub fn steady_state<N: FnMut() -> f64>(
-        &self,
-        delta0: f64,
-        reference: f64,
-        warmup: usize,
-        samples: usize,
-        mut noise_source: N,
-    ) -> SteadyStateStats {
-        let mut d = delta0;
-        for _ in 0..warmup {
-            d = self.step(d, noise_source());
-        }
-        let t = self.shift.period;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        let n = samples.max(1);
-        for _ in 0..n {
-            d = self.step(d, noise_source());
-            // Signed circular deviation from the reference point.
-            let mut dev = (d - reference) % t;
-            if dev > t / 2.0 {
-                dev -= t;
-            } else if dev < -t / 2.0 {
-                dev += t;
-            }
-            sum += dev;
-            sum_sq += dev * dev;
-        }
-        let mean = sum / n as f64;
-        let var = (sum_sq / n as f64 - mean * mean).max(0.0);
-        SteadyStateStats {
-            mean,
-            stddev: var.sqrt(),
-            samples: n,
-        }
-    }
-
-    /// The underlying shift function.
-    pub fn shift(&self) -> &ShiftFunction {
-        &self.shift
-    }
-}
-
 /// Checks whether an empirical steady-state spread is consistent with the
 /// paper's linear bound: `stddev ≤ slack × 2σ(1 + I/S)`.
 pub fn within_linear_bound(
@@ -123,10 +51,10 @@ pub fn within_linear_bound(
     stats.stddev <= slack * predicted_error_stddev(params, noise_stddev)
 }
 
-/// Convenience: steady-state deviation of a full trajectory from a
-/// reference phase (used by simulator-level experiments where the
-/// trajectory comes from packet-level dynamics rather than the analytic
-/// map).
+/// Steady-state deviation of a trajectory from a reference phase: the
+/// analytic map's post-warmup samples
+/// ([`crate::gradient::Descent::steady_state`]), or a trajectory from
+/// packet-level dynamics.
 pub fn deviation_stats(trajectory: &[f64], reference: f64, period: f64) -> SteadyStateStats {
     if trajectory.is_empty() {
         return SteadyStateStats {
@@ -166,6 +94,8 @@ pub fn deviation_stats(trajectory: &[f64], reference: f64, period: f64) -> Stead
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::Descent;
+    use crate::shift::ShiftFunction;
 
     fn shift_a_half() -> ShiftFunction {
         ShiftFunction::new(MltcpParams::PAPER, 1.8, 0.5).unwrap()
@@ -201,8 +131,8 @@ mod tests {
 
     #[test]
     fn zero_noise_reduces_to_deterministic_descent() {
-        let nd = NoisyDescent::new(shift_a_half());
-        let stats = nd.steady_state(0.1, 0.9, 500, 100, || 0.0);
+        let descent = Descent::new(shift_a_half());
+        let stats = descent.steady_state(0.1, 0.9, 500, 100, || 0.0);
         assert!(stats.mean.abs() < 1e-6);
         assert!(stats.stddev < 1e-6);
     }
@@ -211,9 +141,9 @@ mod tests {
     fn noise_breaks_the_synchronized_tie() {
         // From exact overlap (unstable fixed point), any noise kicks the
         // system into the basin and it still converges near the optimum.
-        let nd = NoisyDescent::new(shift_a_half());
+        let descent = Descent::new(shift_a_half());
         let mut rng = TestRng(7);
-        let stats = nd.steady_state(0.0, 0.9, 2000, 2000, || gaussian(&mut rng, 0.005));
+        let stats = descent.steady_state(0.0, 0.9, 2000, 2000, || gaussian(&mut rng, 0.005));
         assert!(
             stats.mean.abs() < 0.1,
             "steady state should hover near T/2; mean dev = {}",
@@ -223,10 +153,10 @@ mod tests {
 
     #[test]
     fn steady_state_error_is_linearly_bounded() {
-        let nd = NoisyDescent::new(shift_a_half());
+        let descent = Descent::new(shift_a_half());
         for (seed, sigma) in [(1u64, 0.002), (2, 0.005), (3, 0.01)] {
             let mut rng = TestRng(seed);
-            let stats = nd.steady_state(0.3, 0.9, 3000, 5000, || gaussian(&mut rng, sigma));
+            let stats = descent.steady_state(0.3, 0.9, 3000, 5000, || gaussian(&mut rng, sigma));
             assert!(
                 within_linear_bound(&stats, MltcpParams::PAPER, sigma, 1.5),
                 "σ={sigma}: empirical stddev {} exceeds 1.5 × predicted {}",
@@ -238,11 +168,11 @@ mod tests {
 
     #[test]
     fn error_grows_with_noise() {
-        let nd = NoisyDescent::new(shift_a_half());
+        let descent = Descent::new(shift_a_half());
         let mut spread = vec![];
         for (seed, sigma) in [(11u64, 0.001), (12, 0.004), (13, 0.016)] {
             let mut rng = TestRng(seed);
-            let stats = nd.steady_state(0.3, 0.9, 3000, 5000, || gaussian(&mut rng, sigma));
+            let stats = descent.steady_state(0.3, 0.9, 3000, 5000, || gaussian(&mut rng, sigma));
             spread.push(stats.stddev);
         }
         assert!(spread[0] < spread[1] && spread[1] < spread[2]);

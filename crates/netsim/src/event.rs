@@ -37,15 +37,15 @@
 //!
 //! Both properties are a contract, not a hint: a second pending
 //! departure on one link, or a delivery earlier than the link's last
-//! one, panics. Host-local sends ([`LinkId::NONE`]) ride one extra
-//! loopback rail; each is scheduled at the current instant under a
-//! rising seq, so they are FIFO by construction.
+//! one, panics. Every delivery crosses a link: the queue holds one rail
+//! per link of the topology, sized when it is built, and rail `i` is
+//! link `i`. A departure or delivery on any other link, such as
+//! [`LinkId::NONE`], panics before it touches a rail.
 //!
 //! A rail entry holds only what differs per packet: `(at, seq, epoch,
 //! pkt)`. The carrying link is the rail itself, and the receiving node
-//! follows from it (the link's far end, or `pkt.dst` on the loopback
-//! rail), so neither is stored; the dispatcher resolves the node when
-//! the delivery pops.
+//! is that link's far end, so neither is stored; the dispatcher resolves
+//! the node when the delivery pops.
 //!
 //! ## The rail index
 //!
@@ -61,7 +61,7 @@
 //!
 //! Each reindex therefore costs `O(active rails)` compares and moves,
 //! where a heap costs `O(log rails)`. That fits the topologies simulated
-//! here: a dumbbell has four rails per single-flow job plus three (27 on
+//! here: a dumbbell has four rails per single-flow job plus two (26 on
 //! the six-job benchmark), and multi-bottleneck fabrics such as Clos are
 //! not built. On the six-job benchmark about five rails hold events at a
 //! time, and a popped rail's next head, one serialization later, usually
@@ -150,13 +150,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// it (`via`, the rail it rode) and that channel's incarnation (`epoch`)
 /// at serialization time, so fault injection can cut packets that were
 /// on the wire when a link went down: the arrival handler drops any
-/// delivery whose stamped epoch no longer matches the channel's.
-/// Host-local sends use [`LinkId::NONE`] and are never cut. The
-/// receiving node is not stored: it is `via`'s far end, or `pkt.dst` for
-/// a host-local send.
+/// delivery whose stamped epoch no longer matches the channel's. The
+/// receiving node is not stored: it is `via`'s far end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
-    /// The channel the packet crossed ([`LinkId::NONE`] for local sends).
+    /// The channel the packet crossed.
     pub via: LinkId,
     /// The channel's epoch when serialization started.
     pub epoch: u32,
@@ -304,8 +302,7 @@ impl RailDelivery {
 
 /// One directed channel's pending events: the departure of the packet
 /// being serialized (its packed key, [`NO_KEY`] when none is scheduled),
-/// and the FIFO of packets on the wire. The loopback rail holds only
-/// host-local deliveries.
+/// and the FIFO of packets on the wire.
 #[derive(Debug, Default)]
 struct Rail {
     departure: u128,
@@ -323,10 +320,9 @@ impl Rail {
     }
 }
 
-/// Per-link rails under a sorted index of their head keys. Rail 0 is the
-/// loopback rail of host-local sends ([`LinkId::NONE`]); link `i` rides
-/// rail `i + 1`.
-#[derive(Debug, Default)]
+/// Per-link rails under a sorted index of their head keys: link `i`
+/// rides rail `i`.
+#[derive(Debug)]
 struct Rails {
     rails: Vec<Rail>,
     /// `(head key, rail)` of every rail with pending events, sorted by
@@ -335,13 +331,12 @@ struct Rails {
 }
 
 impl Rails {
-    /// The index of `link`'s rail, growing the table to hold it.
+    /// The index of `link`'s rail; panics if the queue has none, as for
+    /// [`LinkId::NONE`].
     #[inline]
-    fn rail_of(&mut self, link: LinkId) -> usize {
-        let li = link.0.wrapping_add(1) as usize;
-        if li >= self.rails.len() {
-            self.rails.resize_with(li + 1, Rail::default);
-        }
+    fn rail_of(&self, link: LinkId) -> usize {
+        let li = link.index();
+        assert!(li < self.rails.len(), "no rail for {link:?}");
         li
     }
 
@@ -433,7 +428,7 @@ impl Rails {
     fn pop_min(&mut self) -> Popped {
         let (key, li) = self.index.pop().expect("rail head exists");
         let rail = &mut self.rails[li as usize];
-        let link = LinkId(li.wrapping_sub(1));
+        let link = LinkId(li);
         let p = if key == rail.departure {
             rail.departure = NO_KEY;
             Popped {
@@ -482,19 +477,17 @@ pub struct EventQueue {
     rails: Rails,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
+    /// An empty queue with one rail for each of `links` links, `LinkId(0)`
+    /// to `LinkId(links - 1)`.
+    pub fn new(links: usize) -> Self {
         Self {
             next_seq: 1,
             heap: BinaryHeap::new(),
-            rails: Rails::default(),
+            rails: Rails {
+                rails: (0..links).map(|_| Rail::default()).collect(),
+                index: Vec::new(),
+            },
         }
     }
 
@@ -543,7 +536,8 @@ impl EventQueue {
     /// from [`EventQueue::reserve_seq`] and has not been used since.
     ///
     /// # Panics
-    /// Panics if `link` already has a departure pending.
+    /// Panics if `link` already has a departure pending, or is not one of
+    /// the queue's links.
     pub fn schedule_departure(&mut self, at: SimTime, seq: u64, link: LinkId) {
         debug_assert!(seq < self.next_seq, "departure under an unreserved seq");
         self.rails.push_departure(at, seq, link);
@@ -551,12 +545,12 @@ impl EventQueue {
 
     /// Schedules the arrival of `pkt` over `via` at `at` — the
     /// per-packet hot path. The delivery rides `via`'s rail as `(at, seq,
-    /// epoch, pkt)`; host-local sends ([`LinkId::NONE`]) ride the
-    /// loopback rail. The receiving node is implied by the rail (see
+    /// epoch, pkt)`. The receiving node is implied by the rail (see
     /// [`Delivery`]).
     ///
     /// # Panics
-    /// Panics if `at` is earlier than the last delivery pending on `via`.
+    /// Panics if `at` is earlier than the last delivery pending on `via`,
+    /// or `via` is not one of the queue's links.
     pub fn schedule_delivery(&mut self, at: SimTime, via: LinkId, epoch: u32, pkt: Packet) {
         let seq = self.reserve_seq();
         self.rails.push_delivery(at, seq, via, epoch, pkt);
@@ -568,7 +562,8 @@ impl EventQueue {
     /// the hop folds (see the module docs, *Folded hops*).
     ///
     /// # Panics
-    /// Panics if `at` is earlier than the last delivery pending on `via`.
+    /// Panics if `at` is earlier than the last delivery pending on `via`,
+    /// or `via` is not one of the queue's links.
     pub fn schedule_delivery_reserved(
         &mut self,
         at: SimTime,
@@ -671,7 +666,7 @@ mod tests {
 
     #[test]
     fn pop_event_before_respects_deadline() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.schedule_timer(SimTime(10), 0, 1);
         q.schedule_timer(SimTime(20), 0, 2);
         q.schedule_timer(SimTime(20), 0, 3);
@@ -690,7 +685,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         q.schedule_timer(SimTime(30), 0, 3);
         q.schedule_timer(SimTime(10), 0, 1);
         q.schedule_timer(SimTime(20), 0, 2);
@@ -699,7 +694,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         for token in 0..100 {
             q.schedule_timer(SimTime(5), 0, token);
         }
@@ -710,7 +705,7 @@ mod tests {
     fn far_future_events_pop_in_time_order() {
         // Times from nanoseconds to seconds out, scheduled out of order
         // around a few ms, pop in time order.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         let times = [
             0u64,
             1,
@@ -734,7 +729,7 @@ mod tests {
 
     #[test]
     fn len_and_is_empty() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(0);
         assert!(q.is_empty());
         q.schedule_timer(SimTime(1), 0, 0);
         assert_eq!(q.len(), 1);
@@ -746,7 +741,7 @@ mod tests {
     fn capacity_counts_every_buffer() {
         // Forty one-slot deques and a one-slot heap: small buffers count
         // as much as big ones.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(40);
         for link in 0..40 {
             q.schedule_delivery(SimTime(10), LinkId(link), 0, pkt());
         }
@@ -763,7 +758,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "second pending departure")]
     fn second_pending_departure_on_a_link_panics() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(4);
         let (a, b) = (q.reserve_seq(), q.reserve_seq());
         q.schedule_departure(SimTime(20), a, LinkId(3));
         q.schedule_departure(SimTime(10), b, LinkId(3));
@@ -772,14 +767,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-order delivery")]
     fn out_of_order_delivery_on_a_link_panics() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(4);
         q.schedule_delivery(SimTime(20), LinkId(2), 0, pkt());
         q.schedule_delivery(SimTime(10), LinkId(2), 0, pkt());
     }
 
+    /// Every delivery and departure crosses a link of the topology, and
+    /// [`LinkId::NONE`] is none: it panics on the index check, before
+    /// any rail is touched. A rail table grown to hold it would take 2³²
+    /// rails, and that allocation would abort rather than panic.
+    #[test]
+    #[should_panic(expected = "no rail for LinkId(4294967295)")]
+    fn delivery_on_no_link_panics() {
+        let mut q = EventQueue::new(4);
+        q.schedule_delivery(SimTime(10), LinkId::NONE, 0, pkt());
+    }
+
+    #[test]
+    #[should_panic(expected = "no rail for LinkId(4294967295)")]
+    fn departure_on_no_link_panics() {
+        let mut q = EventQueue::new(4);
+        let seq = q.reserve_seq();
+        q.schedule_departure(SimTime(10), seq, LinkId::NONE);
+    }
+
     #[test]
     fn departure_ahead_of_queued_deliveries_pops_first() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(4);
         let dep = q.reserve_seq();
         q.schedule_delivery(SimTime(30), LinkId(1), 0, pkt());
         q.schedule_delivery(SimTime(50), LinkId(1), 0, pkt());
@@ -807,7 +821,7 @@ mod tests {
             /// equal-time events preserve insertion order.
             #[test]
             fn total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-                let mut q = EventQueue::new();
+                let mut q = EventQueue::new(0);
                 for (i, &t) in times.iter().enumerate() {
                     q.schedule_timer(SimTime(t), 0, i as u64);
                 }

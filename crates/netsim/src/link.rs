@@ -1,8 +1,8 @@
-//! Directed channels: rate, propagation delay, loss, and byte accounting.
+//! Directed channels: rate, propagation delay and loss.
 //!
 //! A full-duplex cable between two nodes is modelled as two independent
-//! directed channels, each with its own egress queue, serializer, and
-//! counters — matching how real NIC/switch ports behave.
+//! directed channels, each with its own egress queue and serializer —
+//! matching how real NIC/switch ports behave.
 
 use crate::node::NodeId;
 use crate::queue::QueueKind;
@@ -13,8 +13,9 @@ use crate::time::{SimDuration, SimTime};
 pub struct LinkId(pub u32);
 
 impl LinkId {
-    /// Sentinel for "no link": used to tag deliveries that never crossed
-    /// a channel (host-local sends), which fault injection must not cut.
+    /// Sentinel for "no link": the ingress of a packet a host's agent
+    /// sends, and the link of a drop at a node (no route, no bound
+    /// agent). No event rides it: the event queue panics on it.
     pub const NONE: LinkId = LinkId(u32::MAX);
 
     /// The index as `usize` for table lookups.
@@ -144,15 +145,6 @@ pub struct Channel {
     /// Effective-rate multiplier (fault injection: a brownout sets
     /// `< 1.0`). Serialization time scales by `1 / rate_factor`.
     pub rate_factor: f64,
-    /// Cumulative bytes put on the wire. A folded hop counts when its
-    /// feeder starts the packet, so mid-run a single-fed host edge may
-    /// count packets that reach its switch later.
-    pub bytes_sent: u64,
-    /// Cumulative packets put on the wire (folded hops as above).
-    pub packets_sent: u64,
-    /// Cumulative packets dropped at this channel (queue drops + random
-    /// loss).
-    pub packets_dropped: u64,
     /// One-entry serialization-time memo (`bytes` key, `u32::MAX` when
     /// empty). A directed channel carries mostly one packet size (MTU
     /// data one way, acks the other), so this turns the per-packet
@@ -177,9 +169,6 @@ impl Channel {
             up: true,
             epoch: 0,
             rate_factor: 1.0,
-            bytes_sent: 0,
-            packets_sent: 0,
-            packets_dropped: 0,
             tx_cache_bytes: u32::MAX,
             tx_cache_ns: 0,
         }

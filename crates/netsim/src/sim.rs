@@ -181,8 +181,11 @@ pub struct SimStats {
     pub events: u64,
     /// Packets delivered to host agents.
     pub delivered: u64,
-    /// Packets dropped (queue overflow, eviction, random loss, or no
-    /// route).
+    /// Packets dropped: queue overflow, eviction, random loss, a cut on
+    /// the wire, a downed link's drained queue, no route (which includes
+    /// a packet a host sends to itself) or no bound agent. This is the
+    /// run's one drop count; a sink sees each drop as a
+    /// [`TelemetryEvent::Drop`] naming its link and reason.
     pub dropped: u64,
 }
 
@@ -424,9 +427,9 @@ impl SimCore {
         }
     }
 
-    /// Puts `pkt` on idle, up channel `link`'s wire from `start`: counts
-    /// and traces it and reserves its departure's seq (the departure
-    /// becomes an event only if a packet queues behind this one, see
+    /// Puts `pkt` on idle, up channel `link`'s wire from `start`: traces
+    /// it and reserves its departure's seq (the departure becomes an
+    /// event only if a packet queues behind this one, see
     /// [`SimCore::arm_departure`]). Returns when it reaches the far node
     /// and the channel's epoch.
     #[inline(always)]
@@ -435,8 +438,6 @@ impl SimCore {
         let ch = &mut self.topo.channels[li];
         debug_assert!(!ch.armed, "transmit with a departure pending");
         let (done, arrival) = ch.serialize_spans(start, pkt.wire_bytes);
-        ch.bytes_sent += u64::from(pkt.wire_bytes);
-        ch.packets_sent += 1;
         if let Some(trace) = self.traces[li].as_mut() {
             trace.record(done, pkt.flow, pkt.wire_bytes);
         }
@@ -594,15 +595,12 @@ impl SimCore {
     }
 
     /// Counts one dropped packet of `flow` and reports it to the sink.
-    /// `link` is the channel that dropped it, whose counter moves too, or
-    /// [`LinkId::NONE`] for a drop at a node (no route, no bound agent),
-    /// which the sink sees as [`TelemetryEvent::NO_LINK`].
+    /// `link` is the channel that dropped it, or [`LinkId::NONE`] for a
+    /// drop at a node (no route, no bound agent), which the sink sees as
+    /// [`TelemetryEvent::NO_LINK`].
     #[cold]
     fn drop_packet(&mut self, link: LinkId, flow: FlowId, reason: DropReason) {
         self.stats.dropped += 1;
-        if link != LinkId::NONE {
-            self.topo.channels[link.index()].packets_dropped += 1;
-        }
         let t_ns = self.now.as_nanos();
         if let Some(sink) = self.sink() {
             sink.record(&TelemetryEvent::Drop {
@@ -674,9 +672,10 @@ impl AgentCtx<'_> {
         self.id
     }
 
-    /// Sends a packet into the network from this agent's host. Packets to
-    /// the host itself are delivered (via the event queue's loopback
-    /// rail, at the current instant) without touching any link.
+    /// Sends a packet into the network from this agent's host. Every
+    /// packet crosses links: a host has no route to itself, so a packet
+    /// addressed to its own host is dropped as [`DropReason::NoRoute`],
+    /// like any unroutable one.
     ///
     /// # Panics
     /// A packet must go to a host that binds its flow, from a host that
@@ -686,11 +685,6 @@ impl AgentCtx<'_> {
     /// docs).
     pub fn send(&mut self, pkt: Packet) {
         let host = self.node();
-        if pkt.dst == host {
-            let at = self.core.now;
-            self.core.events.schedule_delivery(at, LinkId::NONE, 0, pkt);
-            return;
-        }
         self.core.forward(host, LinkId::NONE, pkt);
     }
 
@@ -804,7 +798,7 @@ impl Simulator {
             core: SimCore {
                 now: SimTime::ZERO,
                 seq: 0,
-                events: EventQueue::new(),
+                events: EventQueue::new(topo.channels.len()),
                 topo,
                 queues,
                 traces,
@@ -1187,22 +1181,16 @@ impl Simulator {
             }
             PoppedKind::Deliver(Delivery { via, epoch, pkt: p }) => {
                 // The rail names the carrying link, whose far end
-                // receives the packet; a host-local send is for
-                // `p.dst`, its own host, and never crossed a wire.
-                let node = if via == LinkId::NONE {
-                    p.dst
-                } else {
-                    let ch = &self.core.topo.channels[via.index()];
-                    if ch.epoch == epoch {
-                        ch.to
-                    } else {
-                        // A stale epoch means the carrying link went
-                        // down after serialization began: the packet
-                        // was cut on the wire.
-                        self.core.drop_packet(via, p.flow, DropReason::LinkCut);
-                        return;
-                    }
-                };
+                // receives the packet.
+                let ch = &self.core.topo.channels[via.index()];
+                if ch.epoch != epoch {
+                    // A stale epoch means the carrying link went down
+                    // after serialization began: the packet was cut on
+                    // the wire.
+                    self.core.drop_packet(via, p.flow, DropReason::LinkCut);
+                    return;
+                }
+                let node = ch.to;
                 match self.core.topo.nodes[node.index()].kind {
                     NodeKind::Switch => self.core.forward(node, via, p),
                     NodeKind::Host => match self.core.bound_agent(p.flow, node) {
@@ -1462,6 +1450,13 @@ mod tests {
     use crate::fault::{FaultPlan, GilbertElliott, LossModel};
 
     fn pingpong_with_plan(plan: &FaultPlan, pkts: u32) -> (Simulator, AgentId, AgentId) {
+        let (mut sim, pinger, echoer) = pingpong_sim(plan, pkts);
+        sim.run();
+        (sim, pinger, echoer)
+    }
+
+    /// [`pingpong_with_plan`]'s simulator, not yet run.
+    fn pingpong_sim(plan: &FaultPlan, pkts: u32) -> (Simulator, AgentId, AgentId) {
         let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
         let flow = FlowId(1);
         let pinger = sim.add_agent(
@@ -1478,7 +1473,6 @@ mod tests {
         sim.bind_flow(flow, pinger);
         sim.bind_flow(flow, echoer);
         sim.install_faults(plan);
-        sim.run();
         (sim, pinger, echoer)
     }
 
@@ -1490,11 +1484,37 @@ mod tests {
         let l = LinkId(0);
         let plan =
             FaultPlan::new().link_flap(l, SimTime::from_secs_f64(30e-6), SimDuration::millis(1));
-        let (sim, pinger, echoer) = pingpong_with_plan(&plan, 20);
+        let (mut sim, pinger, echoer) = pingpong_sim(&plan, 20);
+        sim.set_sink(Box::new(mltcp_telemetry::RingRecorder::new(1 << 10)));
+        sim.run();
         assert_eq!(sim.agent::<Pinger>(pinger).echoes, 2);
         assert_eq!(sim.agent::<Echoer>(echoer).received, 2 * 1500);
-        // 18 lost: 17 drained + 1 cut on the wire.
-        assert_eq!(sim.topology().channels[0].packets_dropped, 18);
+        // 18 lost, all on link 0: 17 drained + 1 cut on the wire.
+        assert_eq!(sim.stats().dropped, 18);
+        let rec = sim
+            .take_sink()
+            .expect("sink attached")
+            .into_any()
+            .downcast::<mltcp_telemetry::RingRecorder>()
+            .expect("ring recorder");
+        assert_eq!(rec.overwritten(), 0, "ring too small for this test");
+        let reasons: Vec<DropReason> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TelemetryEvent::Drop { link, reason, .. } => {
+                    assert_eq!(link, l.0, "a drop off link 0");
+                    Some(reason)
+                }
+                _ => None,
+            })
+            .collect();
+        let count = |r| reasons.iter().filter(|&&x| x == r).count();
+        assert_eq!(reasons.len(), 18);
+        assert_eq!(
+            (count(DropReason::Drained), count(DropReason::LinkCut)),
+            (17, 1)
+        );
         assert!(sim.topology().channels[0].up);
     }
 
@@ -1841,118 +1861,60 @@ mod tests {
     }
 
     #[test]
-    fn host_local_sends_arrive_after_the_handler_and_survive_link_down() {
+    fn self_addressed_send_is_dropped_as_no_route() {
         /// Sends three packets to its own host from a timer handler and
-        /// logs the handler's end and each arrival.
+        /// counts what comes back.
         struct SelfSender {
             flow: FlowId,
-            log: Vec<(String, SimTime)>,
+            received: u32,
         }
         impl Agent for SelfSender {
             fn start(&mut self, ctx: &mut AgentCtx<'_>) {
                 ctx.set_timer(SimDuration::micros(100), 1);
             }
-            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
-                let SegmentHeader::Data { seq, .. } = pkt.header else {
-                    panic!("expected data");
-                };
-                self.log.push((format!("pkt {seq}"), ctx.now()));
+            fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {
+                self.received += 1;
             }
             fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
                 let me = ctx.node();
                 for i in 0..3u64 {
                     ctx.send(Packet::data(self.flow, me, me, i * 1500, 1500));
                 }
-                self.log.push(("handler done".into(), ctx.now()));
             }
         }
+        use mltcp_telemetry::RingRecorder;
         let (mut sim, h0, _h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
         let flow = FlowId(1);
-        let a = sim.add_agent(h0, SelfSender { flow, log: vec![] });
+        let a = sim.add_agent(h0, SelfSender { flow, received: 0 });
         sim.bind_flow(flow, a);
-        // Queue the timer first, so both of the host's channels go down
-        // after the sends and before their deliveries pop.
-        let t = SimTime(100_000);
-        sim.run_until(SimTime(99_000));
-        let plan = FaultPlan::new()
-            .link_flap(LinkId(0), t, SimDuration::millis(1))
-            .link_flap(LinkId(1), t, SimDuration::millis(1));
-        sim.install_faults(&plan);
+        for link in [LinkId(0), LinkId(1)] {
+            sim.enable_trace(link, SimDuration::micros(10));
+        }
+        sim.set_sink(Box::new(RingRecorder::new(1 << 10)));
         sim.run();
-        let log = &sim.agent::<SelfSender>(a).log;
-        let expected = ["handler done", "pkt 0", "pkt 1500", "pkt 3000"];
-        assert_eq!(
-            log.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
-            expected
-        );
-        assert!(log.iter().all(|&(_, at)| at == t), "{log:?}");
-        assert_eq!(sim.stats().delivered, 3);
-        assert_eq!(sim.stats().dropped, 0);
-    }
-
-    #[test]
-    fn host_local_send_reaches_the_agent_bound_at_its_destination() {
-        /// Logs each packet it receives, with its source and time.
-        struct Inbox {
-            got: Vec<(NodeId, SimTime)>,
+        assert_eq!(sim.agent::<SelfSender>(a).received, 0);
+        assert_eq!(sim.stats().delivered, 0);
+        assert_eq!(sim.stats().dropped, 3);
+        // The timer is the run's one event: no packet became a delivery.
+        assert_eq!(sim.stats().events, 1);
+        // No packet was put on a wire.
+        for link in [LinkId(0), LinkId(1)] {
+            let trace = sim.trace(link).expect("trace enabled");
+            assert_eq!(trace.flows().count(), 0, "{link:?} carried a packet");
         }
-        impl Agent for Inbox {
-            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
-                self.got.push((pkt.src, ctx.now()));
-            }
-        }
-        /// An inbox that, on its timer, sends one packet to its own host
-        /// with the far host as its source.
-        struct Loopback {
-            flow: FlowId,
-            src: NodeId,
-            inbox: Inbox,
-        }
-        impl Agent for Loopback {
-            fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-                ctx.set_timer(SimDuration::micros(100), 1);
-            }
-            fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
-                self.inbox.on_packet(ctx, pkt);
-            }
-            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
-                let me = ctx.node();
-                ctx.send(Packet::data(self.flow, self.src, me, 0, 1500));
-            }
-        }
-        let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::micros(5), 0.0);
-        // Both ends bind the flow, so only the node the delivery resolves
-        // to decides which agent gets it: `pkt.dst`, not `pkt.src`.
-        let flow = FlowId(7);
-        let inbox = Inbox { got: vec![] };
-        let a = sim.add_agent(
-            h0,
-            Loopback {
-                flow,
-                src: h1,
-                inbox,
-            },
-        );
-        let b = sim.add_agent(h1, Inbox { got: vec![] });
-        sim.bind_flow(flow, a);
-        sim.bind_flow(flow, b);
-        // h0's two channels go down at the send instant: one just before
-        // the send pops, the other just after it, before the delivery.
-        let t = SimTime(100_000);
-        let down = |link| FaultPlan::new().at(t, FaultAction::LinkDown { link });
-        sim.install_faults(&down(LinkId(0)));
-        sim.run_until(SimTime(99_000));
-        sim.install_faults(&down(LinkId(1)));
-        sim.run();
-        assert_eq!(sim.agent::<Loopback>(a).inbox.got, [(h1, t)]);
-        assert!(sim.agent::<Inbox>(b).got.is_empty());
-        assert_eq!(sim.stats().delivered, 1);
-        assert_eq!(sim.stats().dropped, 0);
-        // The packet never crossed a channel: it rode the loopback rail.
-        for ch in &sim.topology().channels {
-            assert!(!ch.up, "{:?} should be down", ch.id);
-            assert_eq!((ch.packets_sent, ch.packets_dropped), (0, 0));
-        }
+        let rec = sim
+            .take_sink()
+            .expect("sink attached")
+            .into_any()
+            .downcast::<RingRecorder>()
+            .expect("ring recorder");
+        let drop = TelemetryEvent::Drop {
+            t_ns: 100_000,
+            link: TelemetryEvent::NO_LINK,
+            flow: flow.0,
+            reason: DropReason::NoRoute,
+        };
+        assert_eq!(rec.events(), [drop; 3]);
     }
 
     struct TimerAgent {

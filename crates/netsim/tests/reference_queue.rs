@@ -9,8 +9,7 @@
 //! `len()` and `is_empty()` must match the model's.
 //!
 //! The interleavings stay within the queue's contract, as the simulator
-//! does: each link's deliveries (the loopback rail's included) are
-//! scheduled at non-decreasing times, and a link has at most one
+//! does: each link's deliveries are scheduled at non-decreasing times, and a link has at most one
 //! departure pending. Traffic spreads over more than 40 links, more
 //! than a dumbbell of six jobs has, so the rail index holds dozens of
 //! heads, rails drain and refill, and heads on different rails tie at
@@ -187,7 +186,7 @@ impl Both {
 /// than its link's last one is moved up to it.
 fn run_both(ops: impl IntoIterator<Item = Op>) -> Both {
     let mut b = Both {
-        q: EventQueue::new(),
+        q: EventQueue::new(LINKS as usize),
         r: ReferenceQueue::new(),
         got: Vec::new(),
         want: Vec::new(),
@@ -277,7 +276,7 @@ fn delivery(via: LinkId, seq: u64) -> PoppedKind {
 
 /// A fixed but irregular mix of link traffic over [`LINKS`] links
 /// (deliveries, some at instants shared across links, departures
-/// inserted later under a reserved seq, host-local sends), near and far
+/// inserted later under a reserved seq), near and far
 /// timers, some of them inserted later under a reserved seq, messages,
 /// faults, and pops with and without a deadline, some draining every
 /// event due.
@@ -313,19 +312,13 @@ fn queue_pops_like_the_reference_on_mixed_traffic() {
             1 if op & 16 == 0 => Op::Insert((r >> 20) as usize),
             1 => Op::Reserve(at, Reserved::Departure(link)),
             2..=4 => {
-                // `LinkId::NONE` is a host-local send.
-                let via = if (r >> 12) % 8 == 0 {
-                    LinkId::NONE
-                } else {
-                    link
-                };
                 let at = if op & 64 == 0 {
                     t + (r >> 8) % 3_000
                 } else {
                     // The next 2 µs boundary: heads of several rails tie.
                     t - t % 2_000 + 2_000
                 };
-                Op::Schedule(SimTime(at), delivery(via, i * 100))
+                Op::Schedule(SimTime(at), delivery(link, i * 100))
             }
             5 if op & 16 == 0 => Op::Schedule(
                 SimTime(t + 50_000_000), // tens of ms ahead
@@ -351,15 +344,7 @@ fn queue_pops_like_the_reference_on_mixed_traffic() {
         cross_rail_ties,
         ..
     } = run_both(ops);
-    let loopback = format!("{:?}", LinkId::NONE);
-    for kind in [
-        "ChannelIdle",
-        "Deliver",
-        &loopback,
-        "Timer",
-        "Message",
-        "Fault",
-    ] {
+    for kind in ["ChannelIdle", "Deliver", "Timer", "Message", "Fault"] {
         assert!(
             got.iter().any(|(_, _, k)| k.contains(kind)),
             "the mix never popped {kind}"
@@ -394,8 +379,7 @@ proptest! {
             match op {
                 0..=2 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
                 3 => Op::Schedule(at, PoppedKind::Fault { index: i as u32 }),
-                4 => Op::Schedule(at, delivery(LinkId::NONE, i)),
-                5 | 6 => Op::Schedule(at, delivery(link, i)),
+                4..=6 => Op::Schedule(at, delivery(link, i)),
                 7 => Op::Schedule(at, PoppedKind::Message { to: 0, from: 1, token: i }),
                 8 => Op::PopBefore(at),
                 9 => Op::Reserve(at, Reserved::Departure(link)),

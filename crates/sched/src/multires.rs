@@ -19,6 +19,7 @@
 //! link) preserves the initial phase alignment and stays contended.
 
 use mltcp_core::aggressiveness::FnSpec;
+use mltcp_workload::stats::IterationStats;
 
 /// A periodic CPU job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,25 +42,6 @@ impl CpuJob {
     }
 }
 
-/// Result of one job's simulation.
-#[derive(Debug, Clone)]
-pub struct CpuJobResult {
-    /// Completed iteration durations (seconds).
-    pub iteration_times: Vec<f64>,
-}
-
-impl CpuJobResult {
-    /// Mean of the last `k` iteration times.
-    pub fn tail_mean(&self, k: usize) -> f64 {
-        let n = self.iteration_times.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let k = k.min(n).max(1);
-        self.iteration_times[n - k..].iter().sum::<f64>() / k as f64
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum CpuPhase {
     Thinking { until: f64 },
@@ -68,14 +50,14 @@ enum CpuPhase {
 
 /// Simulates `jobs` sharing `cores` under progress-based allocation with
 /// aggressiveness `f`, for `horizon` seconds at `dt` resolution. Returns
-/// per-job iteration histories.
+/// each job's completed iteration durations.
 pub fn simulate(
     jobs: &[CpuJob],
     cores: f64,
     f: FnSpec,
     horizon: f64,
     dt: f64,
-) -> Vec<CpuJobResult> {
+) -> Vec<IterationStats> {
     assert!(!jobs.is_empty() && cores > 0.0 && dt > 0.0);
     let n = jobs.len();
     let mut phase: Vec<CpuPhase> = jobs
@@ -85,11 +67,7 @@ pub fn simulate(
         })
         .collect();
     let mut iter_start: Vec<f64> = jobs.iter().map(|j| j.offset).collect();
-    let mut results: Vec<CpuJobResult> = (0..n)
-        .map(|_| CpuJobResult {
-            iteration_times: Vec::new(),
-        })
-        .collect();
+    let mut durations: Vec<Vec<f64>> = vec![Vec::new(); n];
 
     let steps = (horizon / dt).ceil() as usize;
     for step in 0..steps {
@@ -142,7 +120,7 @@ pub fn simulate(
                 let done = done + alloc[i] * dt;
                 if done >= jobs[i].work {
                     let now = t + dt;
-                    results[i].iteration_times.push(now - iter_start[i]);
+                    durations[i].push(now - iter_start[i]);
                     iter_start[i] = now;
                     phase[i] = CpuPhase::Thinking {
                         until: now + jobs[i].think,
@@ -153,7 +131,10 @@ pub fn simulate(
             }
         }
     }
-    results
+    durations
+        .into_iter()
+        .map(IterationStats::from_durations)
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //!
 //! * **Sender** ([`sender::TcpSender`]): window-based transmission,
 //!   cumulative-ack processing, duplicate-ack counting with fast
-//!   retransmit / NewReno-style fast recovery, RTO with exponential
-//!   backoff (RFC 6298 estimator in [`rtt`]), Karn's algorithm for RTT
-//!   samples, and application-commanded transfers (the workload driver
-//!   starts one transfer per training iteration).
+//!   retransmit, go-back-N loss recovery (three duplicate acks or an RTO
+//!   rewind `snd_nxt` to `snd_una`, and the window resends from there),
+//!   RTO with exponential backoff (RFC 6298 estimator in [`rtt`]), Karn's
+//!   algorithm for RTT samples, and application-commanded transfers (the
+//!   workload driver starts one transfer per training iteration).
 //! * **Receiver** ([`receiver::TcpReceiver`]): cumulative acks over an
 //!   out-of-order reassembly buffer, per-packet ECN echo (as DCTCP needs).
 //! * **Congestion control** ([`cc`]): Reno, CUBIC, and DCTCP, plus the
@@ -23,7 +24,7 @@
 //!
 //! ## What is deliberately simplified
 //!
-//! No SACK (NewReno-style recovery is enough for drop-tail dynamics), no
+//! No SACK (go-back-N recovery is enough for drop-tail dynamics), no
 //! flow-control window (receivers sink at line rate), no handshake or
 //! teardown (connections are pre-installed), and no delayed acks (every
 //! data packet is acked, which also matches DCTCP's per-packet ECN echo

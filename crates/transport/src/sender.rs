@@ -1,6 +1,6 @@
-//! The TCP sender: window-based transmission with NewReno-style loss
-//! recovery, driven by application "transfer" commands from a workload
-//! driver.
+//! The TCP sender: window-based transmission with go-back-N loss
+//! recovery (it rewinds to `snd_una` on a fast retransmit or an RTO),
+//! driven by application "transfer" commands from a workload driver.
 //!
 //! A sender models one long-lived connection carrying one training job's
 //! flow. Each training iteration, the driver messages
