@@ -18,7 +18,7 @@ use mltcp_telemetry::jsonl::event_to_line;
 use mltcp_telemetry::{
     DropReason, JsonlSink, NoopSink, RingRecorder, TelemetryEvent, TelemetrySink,
 };
-use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault};
+use mltcp_workload::scenario::{CongestionSpec, FnSpec, LinkFault, Scenario};
 use mltcp_workload::SweepRunner;
 use proptest::prelude::*;
 use std::any::Any;
@@ -130,6 +130,17 @@ struct LineHasher {
     cut: u64,
 }
 
+impl LineHasher {
+    fn new() -> Self {
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            lines: 0,
+            drained: 0,
+            cut: 0,
+        }
+    }
+}
+
 impl TelemetrySink for LineHasher {
     fn record(&mut self, ev: &TelemetryEvent) {
         let line = event_to_line(ev);
@@ -153,6 +164,19 @@ impl TelemetrySink for LineHasher {
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
+}
+
+/// Runs `sc`, a Fig. 2 mix of `iters` iterations, to its deadline with a
+/// [`LineHasher`] attached and returns the hasher.
+fn hash_trace(sc: &mut Scenario, iters: u32) -> Box<LineHasher> {
+    sc.set_telemetry(Box::new(LineHasher::new()));
+    sc.run(mix_deadline(SCALE, iters));
+    assert!(sc.all_finished(), "Fig. 2 jobs did not finish");
+    sc.take_telemetry()
+        .expect("sink attached")
+        .into_any()
+        .downcast::<LineHasher>()
+        .expect("hasher comes back as itself")
 }
 
 /// FNV-1a of the JSONL event stream of a small faulted Fig. 2 scenario.
@@ -191,25 +215,38 @@ fn faulted_trace_matches_golden_hash() {
         model: GilbertElliott::bursty(0.08, 0.25, 0.4),
     })
     .build();
-    sc.set_telemetry(Box::new(LineHasher {
-        hash: 0xcbf2_9ce4_8422_2325,
-        lines: 0,
-        drained: 0,
-        cut: 0,
-    }));
-    sc.run(mix_deadline(SCALE, FIG2_ITERS));
-    assert!(sc.all_finished(), "faulted Fig. 2 jobs did not finish");
-    let h = sc
-        .take_telemetry()
-        .expect("sink attached")
-        .into_any()
-        .downcast::<LineHasher>()
-        .expect("hasher comes back as itself");
+    let h = hash_trace(&mut sc, FIG2_ITERS);
     assert!(h.drained > 0, "the flap found no backlog to drain");
     assert!(h.cut > 0, "the flap cut nothing on the wire");
     assert_eq!(
         h.hash, FAULTED_TRACE_FNV1A,
         "faulted trace changed ({} lines, hash {:#018x})",
+        h.lines, h.hash
+    );
+}
+
+/// FNV-1a of the JSONL event stream of the same Fig. 2 mix without
+/// faults. The faulted run above pins no folded hop: its faults sit on
+/// both bottleneck directions, the only feeders of the host edges. Here
+/// every host edge folds (see *Folded hops* in `mltcp_netsim::sim`), so
+/// nearly every host-edge queue sample is held and recorded just before
+/// the first record of an event that sorts after its key. The constant
+/// pins where each one lands in the stream, not only that it is there.
+const FOLDED_TRACE_FNV1A: u64 = 0x08d6_d1ac_fec3_e1e4;
+
+#[test]
+fn folded_trace_matches_golden_hash() {
+    const FIG2_ITERS: u32 = 4;
+    let mut sc = uniform_builder(
+        42,
+        fig2_jobs(SCALE, FIG2_ITERS),
+        CongestionSpec::MltcpReno(FnSpec::Paper),
+    )
+    .build();
+    let h = hash_trace(&mut sc, FIG2_ITERS);
+    assert_eq!(
+        h.hash, FOLDED_TRACE_FNV1A,
+        "folded trace changed ({} lines, hash {:#018x})",
         h.lines, h.hash
     );
 }

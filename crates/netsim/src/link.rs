@@ -127,10 +127,13 @@ pub struct Channel {
     /// is only when a packet waits behind the one on the wire; otherwise
     /// the channel just goes idle at the key, with no event.
     pub(crate) armed: bool,
-    /// Whether this is a single-fed host edge, whose hops its one feeder
-    /// may fold into its own transmit (see `crate::sim`, *Folded hops*).
-    /// Set when the run starts.
-    pub(crate) single_fed: bool,
+    /// The one channel feeding this single-fed host edge, whose switch
+    /// hops it may fold (see `crate::sim`, *Folded hops*); set when the
+    /// run starts. [`LinkId::NONE`] on every other channel.
+    pub(crate) feeder: LinkId,
+    /// The `(time, seq)` key of the latest switch arrival toward this edge
+    /// that did not fold; while it is ahead of the dispatch, none folds.
+    pub(crate) unfolded: (SimTime, u64),
     /// Whether this channel is the feeder of a single-fed host edge.
     pub(crate) feeds: bool,
     /// Whether the channel is operational. While `false` (fault
@@ -164,7 +167,8 @@ impl Channel {
             idle_at: SimTime::ZERO,
             idle_seq: 0,
             armed: false,
-            single_fed: false,
+            feeder: LinkId::NONE,
+            unfolded: (SimTime::ZERO, 0),
             feeds: false,
             up: true,
             epoch: 0,

@@ -29,21 +29,25 @@
 //! the bottleneck alone, and the sender edge by the reverse bottleneck
 //! alone, so the switch arrival in front of each is a pure hand-off: the
 //! packet nearly always cuts through onto an idle edge that nothing else
-//! touches. When
-//! the run starts, the simulator finds every such *single-fed host edge*
-//! `c` (switch → host): a drop-tail queue, no random loss, no fault
-//! installed on `c` or on its feeder, and exactly one ingress channel `g`
-//! on the routes between the hosts where each flow is bound.
+//! touches. When the run starts, the simulator finds every such
+//! *single-fed host edge* `c` (switch → host): a drop-tail queue, no
+//! random loss, no fault installed on `c` or on its feeder, and exactly
+//! one ingress channel `g` on the routes between the hosts where each
+//! flow is bound. `c` records `g` as its feeder.
 //!
-//! When `g` serializes a packet whose far switch forwards it onto `c`,
-//! the hop folds if `c` is up, empty and idle at the packet's
-//! switch-arrival key and no arrival toward `c` that did not fold is
-//! still in flight. Nothing else can change `c` before the packet
-//! arrives: only `g` feeds it, and no fault touches either. So the
-//! packet is serialized onto `c` at its switch-arrival time right away
-//! and only the host delivery is scheduled; the switch arrival is not an
-//! event. Otherwise the arrival is scheduled as before, and the next
-//! packet for `c` folds only once it has popped.
+//! The cut-through test takes a channel and an event key `(t, seq)`: is
+//! the channel up, empty and idle at that key? A packet reaching a switch
+//! takes it at the current event's key. When `g` serializes a packet
+//! whose far switch forwards it onto `c`, the packet takes it on `c` at
+//! its switch-arrival key, whose seq is reserved at once, unless an
+//! arrival toward `c` that did not fold is still in flight (`c` keeps
+//! that arrival's key). Nothing else can change `c` before the packet
+//! arrives: only `g` feeds it, and no fault touches either. So if `c`
+//! passes, the hop folds: the packet goes on `c`'s wire from its
+//! switch-arrival time right away and only the host delivery is
+//! scheduled; the switch arrival is not an event. Otherwise the arrival
+//! is scheduled under the reserved seq, and the next packet for `c`
+//! folds only once it has popped.
 //!
 //! Every seq is reserved in the same order as before except the folded
 //! hop's own: `c`'s departure and the host delivery take theirs at the
@@ -78,11 +82,14 @@
 //! replay hashes and every result file are bit-identical with and
 //! without folding.
 //!
-//! Observers stay exact. The folded hop's one-packet `QueueDepth` sample
-//! is held, one FIFO per feeder, until the clock reaches its timestamp,
-//! and is recorded before any later record, so a sink sees the same
-//! records in time order (records within one nanosecond may come in
-//! another order). Folding needs flows to travel only between
+//! Observers stay exact. A cut-through records its one-packet
+//! `QueueDepth` sample at its key. A folded hop's key is ahead of the
+//! dispatch, so its sample waits in one heap ordered by key and is
+//! recorded just before the first record of any event that sorts after
+//! that key, which is where the switch arrival's own record would have
+//! been. A sink thus sees the same records in time order, and in the
+//! unfolded order except where the early seqs above swap two events
+//! within one nanosecond. Folding needs flows to travel only between
 //! hosts where they are bound: a packet that reaches a single-fed edge
 //! through any other ingress panics, and so does a fault installed on a
 //! single-fed edge or its feeder after the run starts.
@@ -101,7 +108,8 @@ use mltcp_telemetry::{
     DropReason, FaultKind, ProfileSnapshot, SimProfiler, TelemetryEvent, TelemetrySink,
 };
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Labels for the sim-time profiler, in [`SimProfiler::record`] index
@@ -176,8 +184,9 @@ pub struct SimStats {
     /// Likewise a timer-slot re-arm is not an event; the slot's queued
     /// event counts each time it pops, whether it fires, moves to a later
     /// deadline or is dropped (see [`AgentCtx::rearm_timer`]). Nor is
-    /// a switch arrival folded into its feeder's transmit (see *Folded
-    /// hops* in the module docs): only its host delivery counts.
+    /// a folded switch arrival, whose packet cut through onto the host
+    /// edge at the arrival's key when its feeder put it on the wire (see
+    /// *Folded hops* in the module docs): only its host delivery counts.
     pub events: u64,
     /// Packets delivered to host agents.
     pub delivered: u64,
@@ -189,26 +198,27 @@ pub struct SimStats {
     pub dropped: u64,
 }
 
-/// A folded hop's `QueueDepth` sample, held until the clock reaches it
-/// (see *Folded hops* in the module docs).
-#[derive(Debug, Clone, Copy)]
-struct HeldSample {
-    at: SimTime,
+/// A cut-through's one-packet `QueueDepth` sample at its `(time, seq)`
+/// event key. A folded hop's is held until the first record of an event
+/// that sorts after that key, where its switch arrival would have popped
+/// (see *Folded hops* in the module docs). Keys are unique, so the
+/// derived order is the key order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct CutSample {
+    key: (SimTime, u64),
     link: u32,
     bytes: u32,
 }
 
-/// A single-fed host edge's fold state (see *Folded hops* in the module
-/// docs). It lives beside the channel rather than in it, which keeps a
-/// [`Channel`](crate::link::Channel) at two cache lines.
-#[derive(Debug, Clone, Copy)]
-struct Fold {
-    /// The one channel that feeds the edge.
-    feeder: LinkId,
-    /// The `(time, seq)` key of the latest switch arrival the feeder
-    /// scheduled toward the edge rather than folding: while it is later
-    /// than the event being dispatched, that arrival is in flight.
-    pending: (SimTime, u64),
+impl CutSample {
+    fn event(&self) -> TelemetryEvent {
+        TelemetryEvent::QueueDepth {
+            t_ns: self.key.0.as_nanos(),
+            link: self.link,
+            bytes: u64::from(self.bytes),
+            packets: 1,
+        }
+    }
 }
 
 /// An agent's re-armable timer (see [`AgentCtx::rearm_timer`]), as
@@ -266,55 +276,39 @@ struct SimCore {
     /// disabled path costs one predictable branch per would-be event.
     /// Sinks observe — they can never touch the event queue or RNGs.
     sink: Option<Box<dyn TelemetrySink>>,
-    /// Per link, for a single-fed host edge: its fold state. Empty when
-    /// no edge folds (see *Folded hops* in the module docs).
-    folds: Vec<Fold>,
-    /// Feeders of single-fed host edges, in link order.
-    feeders: Vec<LinkId>,
-    /// Per feeder link: the `QueueDepth` samples of its folded hops, in
-    /// time order. Filled only while a sink is installed.
-    held: Vec<VecDeque<HeldSample>>,
-    /// The earliest held sample's time; [`SimTime::MAX`] when none is
-    /// held.
-    held_due: SimTime,
+    /// The samples of folded hops whose keys the dispatch has not passed,
+    /// earliest key on top. Filled only while a sink is installed.
+    held: BinaryHeap<Reverse<CutSample>>,
 }
 
 impl SimCore {
-    /// The installed sink, if any, once every held sample the clock has
-    /// reached is recorded on it. Every record goes through here, so the
-    /// sink sees held samples in time order with the rest.
+    /// The installed sink, if any, once every held sample whose key
+    /// sorts before the current event's is recorded on it. Every record
+    /// goes through here, so a held sample lands where its switch
+    /// arrival's record would have.
     #[inline]
     fn sink(&mut self) -> Option<&mut Box<dyn TelemetrySink>> {
         self.sink.as_ref()?;
-        if self.held_due <= self.now {
-            self.release_held(self.now);
+        let key = (self.now, self.seq);
+        if self.held.peek().is_some_and(|h| h.0.key < key) {
+            self.release_held(key);
         }
         self.sink.as_mut()
     }
 
-    /// Records the held samples at or before `upto` on the sink (dropping
-    /// them without one), earliest first across feeders.
-    #[cold]
-    fn release_held(&mut self, upto: SimTime) {
-        loop {
-            let next = self
-                .feeders
-                .iter()
-                .filter_map(|f| self.held[f.index()].front().map(|h| (h.at, f.index())))
-                .min();
-            self.held_due = next.map_or(SimTime::MAX, |(at, _)| at);
-            let Some((_, fi)) = next.filter(|&(at, _)| at <= upto) else {
+    /// Records the held samples with keys at or before `upto` on the
+    /// sink, earliest first.
+    fn release_held(&mut self, upto: (SimTime, u64)) {
+        while let Some(&Reverse(h)) = self.held.peek() {
+            if h.key > upto {
                 return;
-            };
-            let h = self.held[fi].pop_front().expect("a held sample");
-            if let Some(sink) = self.sink.as_mut() {
-                sink.record(&TelemetryEvent::QueueDepth {
-                    t_ns: h.at.as_nanos(),
-                    link: h.link,
-                    bytes: u64::from(h.bytes),
-                    packets: 1,
-                });
             }
+            self.held.pop();
+            let sink = self
+                .sink
+                .as_mut()
+                .expect("samples are held only for a sink");
+            sink.record(&h.event());
         }
     }
 
@@ -326,29 +320,50 @@ impl SimCore {
             .map(|&(_, a)| a)
     }
 
+    /// Puts `pkt` straight on `link`'s wire from `at` and returns `true`
+    /// if the channel is up, empty and idle at the event key `(at, seq)`;
+    /// otherwise leaves the packet to the caller. The key is the current
+    /// event's, or a later one a folded hop reserved (see *Folded hops* in
+    /// the module docs). Against a zero backlog enqueue-then-dequeue is
+    /// the identity (no drop, eviction or ECN mark), so a sink gets only
+    /// the one-packet queue sample the enqueue would have recorded at
+    /// that key.
+    #[inline(always)]
+    fn cut_through(&mut self, link: LinkId, at: SimTime, seq: u64, pkt: &Packet) -> bool {
+        let li = link.index();
+        let ch = &self.topo.channels[li];
+        if ch.busy(at, seq) || !ch.up || !self.queues[li].passes_through(pkt.wire_bytes) {
+            return false;
+        }
+        if self.sink.is_some() {
+            self.sample_cut_through(CutSample {
+                key: (at, seq),
+                link: li as u32,
+                bytes: pkt.wire_bytes,
+            });
+        }
+        self.transmit(link, at, *pkt);
+        true
+    }
+
+    /// Records a cut-through's queue sample now if its key is the current
+    /// event's, or holds it until the dispatch passes its key.
+    fn sample_cut_through(&mut self, s: CutSample) {
+        if s.key > (self.now, self.seq) {
+            self.held.push(Reverse(s));
+        } else if let Some(sink) = self.sink() {
+            sink.record(&s.event());
+        }
+    }
+
     /// Offers a packet to a channel's egress queue and kicks the
     /// serializer if idle, or arms its departure if busy.
     fn enqueue_on(&mut self, link: LinkId, pkt: Packet) {
-        let li = link.index();
-        let busy = self.topo.channels[li].busy(self.now, self.seq);
-        // Cut-through: when the queue is empty and the channel is idle
-        // and up, enqueue-then-immediately-dequeue is the identity (no
-        // drop, eviction, or ECN mark is possible against a zero
-        // backlog), so the packet goes straight to the serializer. A sink
-        // gets the one-packet queue sample the enqueue would have given.
-        if !busy && self.topo.channels[li].up && self.queues[li].passes_through(pkt.wire_bytes) {
-            let now = self.now;
-            if let Some(sink) = self.sink() {
-                sink.record(&TelemetryEvent::QueueDepth {
-                    t_ns: now.as_nanos(),
-                    link: li as u32,
-                    bytes: u64::from(pkt.wire_bytes),
-                    packets: 1,
-                });
-            }
-            self.transmit(link, pkt);
+        if self.cut_through(link, self.now, self.seq, &pkt) {
             return;
         }
+        let li = link.index();
+        let busy = self.topo.channels[li].busy(self.now, self.seq);
         let flow = pkt.flow;
         match self.queues[li].enqueue(pkt) {
             EnqueueOutcome::Accepted => self.sample_backlog(li, None),
@@ -369,6 +384,7 @@ impl SimCore {
 
     /// Records channel `li`'s backlog after an enqueue on the sink, if
     /// one is installed, after the ECN mark of `marked`'s packet if any.
+    #[inline]
     fn sample_backlog(&mut self, li: usize, marked: Option<FlowId>) {
         if self.sink.is_none() {
             return;
@@ -406,7 +422,7 @@ impl SimCore {
         let Some(pkt) = self.queues[li].dequeue() else {
             return;
         };
-        self.transmit(link, pkt);
+        self.transmit(link, self.now, pkt);
         if !self.queues[li].is_empty() {
             self.arm_departure(link);
         }
@@ -449,16 +465,19 @@ impl SimCore {
         (arrival, ch.epoch)
     }
 
-    /// Serializes `pkt` on an idle, up channel and schedules its delivery
-    /// unless loss fires; a feeder hands it to [`SimCore::feed`] instead.
-    /// Shared tail of [`SimCore::start_tx`] and the cut-through path in
-    /// [`SimCore::enqueue_on`].
-    fn transmit(&mut self, link: LinkId, pkt: Packet) {
-        let (arrival, epoch) = self.put_on_wire(link, self.now, &pkt);
+    /// Serializes `pkt` on an idle, up channel from `start` and schedules
+    /// its delivery unless loss fires; a feeder hands it to
+    /// [`SimCore::feed`] instead. Shared tail of [`SimCore::start_tx`] and
+    /// [`SimCore::cut_through`]; kept out of line, since inlined into
+    /// [`SimCore::enqueue_on`] it slowed the folding workloads.
+    #[inline(never)]
+    fn transmit(&mut self, link: LinkId, start: SimTime, pkt: Packet) {
+        let (arrival, epoch) = self.put_on_wire(link, start, &pkt);
         let li = link.index();
         // Loss applies to every packet — acks included: a lossy wire does
         // not know about TCP semantics. Draws come from the link's own
-        // stream so drop patterns are interleaving-independent.
+        // stream so drop patterns are interleaving-independent. A
+        // single-fed edge has no loss, so its folded hops draw nothing.
         if self.loss[li].drops_packet(&mut self.link_rngs[li]) {
             self.drop_packet(link, pkt.flow, DropReason::RandomLoss);
         } else if self.topo.channels[li].feeds {
@@ -478,29 +497,16 @@ impl SimCore {
         let seq = self.events.reserve_seq();
         let switch = self.topo.channels[link.index()].to;
         if let Some(edge) = self.topo.next_hop(switch, pkt.dst) {
-            let ei = edge.index();
-            let ch = &self.topo.channels[ei];
-            if ch.single_fed && self.folds[ei].feeder == link {
-                if self.folds[ei].pending <= (self.now, self.seq)
-                    && ch.up
-                    && !ch.busy(arrival, seq)
-                    && self.queues[ei].passes_through(pkt.wire_bytes)
+            let ch = &self.topo.channels[edge.index()];
+            if ch.feeder == link {
+                // Only this feeder reaches the edge and no fault touches
+                // either, so unless an unfolded arrival is still in
+                // flight the edge looks now as it will at the arrival.
+                if ch.unfolded <= (self.now, self.seq) && self.cut_through(edge, arrival, seq, &pkt)
                 {
-                    if self.sink.is_some() {
-                        self.held[link.index()].push_back(HeldSample {
-                            at: arrival,
-                            link: ei as u32,
-                            bytes: pkt.wire_bytes,
-                        });
-                        self.held_due = self.held_due.min(arrival);
-                    }
-                    // The edge has no loss to draw: no random loss, and
-                    // no fault to install one.
-                    let (at, edge_epoch) = self.put_on_wire(edge, arrival, &pkt);
-                    self.events.schedule_delivery(at, edge, edge_epoch, pkt);
                     return;
                 }
-                self.folds[ei].pending = (arrival, seq);
+                self.topo.channels[edge.index()].unfolded = (arrival, seq);
             }
         }
         self.events
@@ -623,11 +629,9 @@ impl SimCore {
     fn forward(&mut self, node: NodeId, via: LinkId, pkt: Packet) {
         match self.topo.next_hop(node, pkt.dst) {
             Some(link) => {
-                if self.topo.channels[link.index()].single_fed {
-                    let feeder = self.folds[link.index()].feeder;
-                    if feeder != via {
-                        off_path(pkt.flow, via, link, feeder);
-                    }
+                let feeder = self.topo.channels[link.index()].feeder;
+                if feeder != via && feeder != LinkId::NONE {
+                    off_path(pkt.flow, via, link, feeder);
                 }
                 self.enqueue_on(link, pkt);
             }
@@ -765,15 +769,11 @@ impl AgentCtx<'_> {
     }
 }
 
-struct AgentSlot {
-    agent: Option<Box<dyn Agent>>,
-    host: NodeId,
-}
-
 /// The discrete-event simulator.
 pub struct Simulator {
     core: SimCore,
-    agents: Vec<AgentSlot>,
+    /// The registered agents; `None` while one's handler runs.
+    agents: Vec<Option<Box<dyn Agent>>>,
     started: bool,
     /// Wall-clock attribution per event kind, when enabled.
     profiler: Option<SimProfiler>,
@@ -811,10 +811,7 @@ impl Simulator {
                 slots: Vec::new(),
                 stats: SimStats::default(),
                 sink: None,
-                folds: Vec::new(),
-                feeders: Vec::new(),
-                held: Vec::new(),
-                held_due: SimTime::MAX,
+                held: BinaryHeap::new(),
             },
             agents: Vec::new(),
             started: false,
@@ -841,10 +838,7 @@ impl Simulator {
             "agents attach to hosts, not switches"
         );
         let id = AgentId(self.agents.len());
-        self.agents.push(AgentSlot {
-            agent: Some(Box::new(agent)),
-            host,
-        });
+        self.agents.push(Some(Box::new(agent)));
         self.core.agent_hosts.push(host);
         self.core.slots.push(TimerSlot::default());
         id
@@ -861,7 +855,7 @@ impl Simulator {
     /// edge through another ingress panics. A flow bound at one host only
     /// puts no route in the plan.
     pub fn bind_flow(&mut self, flow: FlowId, agent: AgentId) {
-        let host = self.agents[agent.0].host;
+        let host = self.core.agent_hosts[agent.0];
         let table = &mut self.core.flow_tables[host.index()];
         match table.iter_mut().find(|(f, _)| *f == flow) {
             Some(entry) => entry.1 = agent,
@@ -887,7 +881,7 @@ impl Simulator {
             let link = f.action.link();
             let ch = &self.core.topo.channels[link.index()];
             assert!(
-                !ch.single_fed && !ch.feeds,
+                ch.feeder == LinkId::NONE && !ch.feeds,
                 "fault on {link:?} after the run started: it is a single-fed host edge \
                  or its feeder, whose hops fold; install faults before the run"
             );
@@ -905,24 +899,23 @@ impl Simulator {
     }
 
     /// Installs a telemetry sink; subsequent simulation activity streams
-    /// structured events into it. Replaces any previous sink, which first
-    /// records the held samples of folded hops that the clock has reached
-    /// (see *Folded hops* in the module docs); the new sink gets the
-    /// rest. Hops that folded while no sink was installed hold no sample,
-    /// so a sink installed mid-run misses the queue samples of packets
-    /// then on a feeder, at most one hop latency's worth.
+    /// structured events into it. Replaces any previous sink; the new one
+    /// gets the held samples of folded hops past the clock (see *Folded
+    /// hops* in the module docs). Hops that folded while no sink was
+    /// installed hold no sample, so a sink installed mid-run misses the
+    /// queue samples of packets then on a feeder, at most one hop
+    /// latency's worth.
     pub fn set_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.core.release_held(self.core.now);
         self.core.sink = Some(sink);
     }
 
     /// Detaches the telemetry sink (flushed), e.g. to downcast a
-    /// recorder back to its concrete type after a run. It first records
-    /// the held samples the clock has reached; later ones are dropped.
+    /// recorder back to its concrete type after a run. The held samples
+    /// past the clock are dropped: a run stops only after recording
+    /// every one the clock has reached.
     pub fn take_sink(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.core.release_held(self.core.now);
         let mut sink = self.core.sink.take()?;
-        self.core.release_held(SimTime::MAX);
+        self.core.held.clear();
         sink.flush();
         Some(sink)
     }
@@ -960,7 +953,7 @@ impl Simulator {
         self.core.stats
     }
 
-    /// Read-only topology access (byte counters, drop counters).
+    /// Read-only topology access.
     pub fn topology(&self) -> &Topology {
         &self.core.topo
     }
@@ -972,7 +965,6 @@ impl Simulator {
     /// Panics if the id is stale or the type does not match.
     pub fn agent<A: Agent>(&self, id: AgentId) -> &A {
         let a = self.agents[id.0]
-            .agent
             .as_ref()
             .expect("agent is not currently executing");
         let any: &dyn Any = a.as_ref();
@@ -983,7 +975,6 @@ impl Simulator {
     /// phases of an experiment).
     pub fn agent_mut<A: Agent>(&mut self, id: AgentId) -> &mut A {
         let a = self.agents[id.0]
-            .agent
             .as_mut()
             .expect("agent is not currently executing");
         let any: &mut dyn Any = a.as_mut();
@@ -1063,24 +1054,10 @@ impl Simulator {
                 && !faulted.contains(&edge)
                 && !faulted.contains(&feeder)
             {
-                if core.folds.is_empty() {
-                    let unfolded = Fold {
-                        feeder: LinkId::NONE,
-                        pending: (SimTime::ZERO, 0),
-                    };
-                    core.folds = vec![unfolded; core.topo.channels.len()];
-                    core.held = (0..core.topo.channels.len())
-                        .map(|_| VecDeque::new())
-                        .collect();
-                }
-                core.folds[li].feeder = feeder;
-                core.topo.channels[li].single_fed = true;
+                core.topo.channels[li].feeder = feeder;
                 core.topo.channels[feeder.index()].feeds = true;
-                core.feeders.push(feeder);
             }
         }
-        core.feeders.sort_unstable();
-        core.feeders.dedup();
     }
 
     /// Temporarily removes an agent from its slot so it can borrow the
@@ -1093,16 +1070,13 @@ impl Simulator {
         idx: usize,
         f: impl FnOnce(&mut Box<dyn Agent>, &mut AgentCtx<'_>) -> R,
     ) -> R {
-        let mut agent = self.agents[idx]
-            .agent
-            .take()
-            .expect("agent handler reentrancy");
+        let mut agent = self.agents[idx].take().expect("agent handler reentrancy");
         let mut ctx = AgentCtx {
             core: &mut self.core,
             id: AgentId(idx),
         };
         let r = f(&mut agent, &mut ctx);
-        self.agents[idx].agent = Some(agent);
+        self.agents[idx] = Some(agent);
         r
     }
 
@@ -1162,8 +1136,8 @@ impl Simulator {
         }
         // The clock reaches the deadline (or passed every folded hop, if
         // the queue drained): their held samples are due.
-        if self.core.held_due <= deadline {
-            self.core.release_held(deadline);
+        if !self.core.held.is_empty() {
+            self.core.release_held((deadline, u64::MAX));
         }
     }
 

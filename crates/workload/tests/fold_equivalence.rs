@@ -2,12 +2,17 @@
 //! in front of a single-fed host edge into its feeder's transmit (see
 //! *Folded hops* in `mltcp_netsim::sim`). A no-op `RestoreLoss` fault at
 //! t = 0 on every host edge keeps every edge from folding, so the same
-//! mix run with those faults takes the unfolded event path.
+//! mix run with those faults takes the unfolded event path. Each run
+//! also carries a sink: folding holds a hop's queue sample until the
+//! dispatch passes its key, and both runs must record the same records,
+//! each stream in time order.
 
 use mltcp_netsim::fault::{FaultAction, FaultPlan, GilbertElliott};
 use mltcp_netsim::link::LinkId;
 use mltcp_netsim::queue::QueueKind;
 use mltcp_netsim::time::{SimDuration, SimTime};
+use mltcp_telemetry::jsonl::event_to_line;
+use mltcp_telemetry::{FaultKind, TelemetryEvent, TelemetrySink};
 use mltcp_transport::sender::{PriorityPolicy, MSS};
 use mltcp_workload::driver::{IterationRecord, JobDriver};
 use mltcp_workload::scenario::{
@@ -15,6 +20,7 @@ use mltcp_workload::scenario::{
 };
 use mltcp_workload::{models, JobSpec};
 use proptest::prelude::*;
+use std::any::Any;
 
 /// The transports of a random mix: Reno, MLTCP-Reno, DCTCP over an
 /// ECN-marking bottleneck, and pFabric (remaining-bytes priorities over a
@@ -97,11 +103,64 @@ fn host_edges(sc: &Scenario) -> Vec<LinkId> {
         .collect()
 }
 
+/// A sink that checks records arrive in time order and keeps an
+/// order-free digest of them: their count and the wrapping sums of each
+/// JSONL line's FNV-1a hash and of its square. It leaves out the
+/// reference run's no-op `RestoreLoss` records on host edges.
+struct DigestSink {
+    host_edges: Vec<u32>,
+    last_t_ns: u64,
+    out_of_order: u64,
+    digest: (u64, u64, u64),
+}
+
+impl TelemetrySink for DigestSink {
+    fn record(&mut self, ev: &TelemetryEvent) {
+        if ev.t_ns() < self.last_t_ns {
+            self.out_of_order += 1;
+        }
+        self.last_t_ns = self.last_t_ns.max(ev.t_ns());
+        if let TelemetryEvent::Fault {
+            link,
+            kind: FaultKind::LossRestore,
+            ..
+        } = *ev
+        {
+            if self.host_edges.contains(&link) {
+                return;
+            }
+        }
+        let h = event_to_line(ev)
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        let (n, sum, squares) = self.digest;
+        self.digest = (
+            n + 1,
+            sum.wrapping_add(h),
+            squares.wrapping_add(h.wrapping_mul(h)),
+        );
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 /// What a run decides: every job's iteration records, deliveries,
 /// drops and the final clock; and the events it popped.
 type Outcome = (Vec<Vec<IterationRecord>>, u64, u64, SimTime);
 
-fn run(sc: &mut Scenario) -> (Outcome, u64) {
+/// Runs `sc` with a [`DigestSink`] attached; returns its outcome, the
+/// events it popped and the sink.
+fn run(sc: &mut Scenario, edges: &[LinkId]) -> (Outcome, u64, DigestSink) {
+    sc.set_telemetry(Box::new(DigestSink {
+        host_edges: edges.iter().map(|l| l.0).collect(),
+        last_t_ns: 0,
+        out_of_order: 0,
+        digest: (0, 0, 0),
+    }));
     sc.run(SimTime::from_secs_f64(5.0));
     let records = sc
         .jobs
@@ -109,7 +168,14 @@ fn run(sc: &mut Scenario) -> (Outcome, u64) {
         .map(|j| sc.sim.agent::<JobDriver>(j.driver).records().to_vec())
         .collect();
     let st = sc.sim.stats();
-    ((records, st.delivered, st.dropped, sc.sim.now()), st.events)
+    let sink = sc
+        .take_telemetry()
+        .expect("sink attached")
+        .into_any()
+        .downcast::<DigestSink>()
+        .expect("digest sink comes back as itself");
+    let outcome = (records, st.delivered, st.dropped, sc.sim.now());
+    (outcome, st.events, *sink)
 }
 
 proptest! {
@@ -118,7 +184,8 @@ proptest! {
     /// A random dumbbell mix of 2 to 6 GPT-2 and GPT-3 jobs, under any of
     /// the four transports and through at most one bottleneck fault,
     /// ends with the same iteration records, deliveries, drops and clock
-    /// whether or not its host edges fold. Folding pops fewer events
+    /// whether or not its host edges fold, and a sink on either run sees
+    /// the same records, in time order. Folding pops fewer events
     /// when an edge folds, which is exactly when no fault sits on the
     /// bottleneck (the only feeder of each host edge, in each
     /// direction); otherwise the runs differ by the reference's no-op
@@ -149,18 +216,27 @@ proptest! {
         let fault = fault(fault_kind, at_frac, len_us, longest);
 
         let mut folded = build(&jobs, transport, fault.clone(), seed);
-        let (outcome, events) = run(&mut folded);
+        let edges = host_edges(&folded);
+        let (outcome, events, sink) = run(&mut folded, &edges);
 
         let mut reference = build(&jobs, transport, fault.clone(), seed);
-        let edges = host_edges(&reference);
         let mut plan = FaultPlan::new();
         for &link in &edges {
             plan = plan.at(SimTime::ZERO, FaultAction::RestoreLoss { link });
         }
         reference.sim.install_faults(&plan);
-        let (ref_outcome, ref_events) = run(&mut reference);
+        let (ref_outcome, ref_events, ref_sink) = run(&mut reference, &edges);
 
         prop_assert!(outcome == ref_outcome, "{transport:?} with {fault:?}: results differ");
+        prop_assert!(sink.digest.0 > 0, "nothing recorded");
+        prop_assert_eq!(sink.out_of_order, 0, "folded records out of time order");
+        prop_assert_eq!(ref_sink.out_of_order, 0, "reference records out of time order");
+        prop_assert!(
+            sink.digest == ref_sink.digest,
+            "{transport:?} with {fault:?}: records differ ({} vs {} kept)",
+            sink.digest.0,
+            ref_sink.digest.0
+        );
         prop_assert!(outcome.0.iter().all(|r| r.len() == iters as usize));
         let unfolded = ref_events - edges.len() as u64;
         if fault.is_none() {
