@@ -60,10 +60,10 @@ impl Agent for PeriodicApp {
         self.spans.push((self.current_start, ctx.now()));
         self.remaining = self.remaining.saturating_sub(1);
         if self.remaining > 0 {
-            ctx.set_timer(GAP, 1);
+            ctx.rearm_timer(GAP);
         }
     }
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
         self.current_start = ctx.now();
         let s = self.sender.expect("wired");
         ctx.send_message(s, proto::encode(Msg::StartTransfer { bytes: ITER_BYTES }));

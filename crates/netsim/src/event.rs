@@ -14,7 +14,8 @@
 //! sources' heads. `tests/reference_queue.rs` pins the pop order against
 //! a plain `BinaryHeap` reference model.
 //!
-//! Each event kind has one typed entry point: [`EventQueue::schedule_timer`],
+//! Each event kind has one typed entry point:
+//! [`EventQueue::schedule_timer_reserved`],
 //! [`EventQueue::schedule_message`] and [`EventQueue::schedule_fault`] go
 //! to the heap; [`EventQueue::schedule_delivery`] and
 //! [`EventQueue::schedule_departure`] go to the rails.
@@ -83,11 +84,12 @@
 //! pop order. Numbering starts at 1, leaving `(t, 0)` below every event
 //! at `t`.
 //!
-//! The simulator's per-agent timer slot uses the same pattern:
-//! [`EventQueue::schedule_timer_reserved`] inserts a `Timer` under a seq a
-//! re-arm reserved earlier, so the slot's one queued event can move to
-//! the latest deadline and still pop where a timer scheduled at that
-//! re-arm would have (see `AgentCtx::rearm_timer` in [`crate::sim`]).
+//! Timers use the same pattern. An agent has one timer, and
+//! [`EventQueue::schedule_timer_reserved`] inserts its `Timer` under a
+//! seq a re-arm reserved, at once or later. So the timer's one queued
+//! event can move to the latest deadline and still pop where an event
+//! scheduled at that re-arm would have (see `AgentCtx::rearm_timer` in
+//! [`crate::sim`]).
 //!
 //! ## Folded hops
 //!
@@ -166,7 +168,7 @@ pub struct Delivery {
 /// departures, which ride the rails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeapKind {
-    Timer { agent: u32, token: u64 },
+    Timer { agent: u32 },
     Message { to: u32, from: u32, token: u64 },
     Fault { index: u32 },
 }
@@ -233,13 +235,12 @@ pub enum PoppedKind {
         /// The channel that became idle.
         link: LinkId,
     },
-    /// An agent-scheduled timer fires; `agent` is the agent index and
-    /// `token` an opaque value the agent chose.
+    /// An agent's timer event pops; `agent` is the agent index. The
+    /// simulator decides whether the timer fires (see
+    /// `AgentCtx::rearm_timer` in [`crate::sim`]).
     Timer {
         /// Owning agent (index into the simulator's agent table).
         agent: u32,
-        /// Opaque discriminator chosen by the agent.
-        token: u64,
     },
     /// An agent-to-agent message (e.g. a workload driver commanding a
     /// transport endpoint, or an endpoint reporting completion).
@@ -262,7 +263,7 @@ pub enum PoppedKind {
 impl From<HeapKind> for PoppedKind {
     fn from(kind: HeapKind) -> Self {
         match kind {
-            HeapKind::Timer { agent, token } => PoppedKind::Timer { agent, token },
+            HeapKind::Timer { agent } => PoppedKind::Timer { agent },
             HeapKind::Message { to, from, token } => PoppedKind::Message { to, from, token },
             HeapKind::Fault { index } => PoppedKind::Fault { index },
         }
@@ -505,19 +506,13 @@ impl EventQueue {
         self.heap.push(Event { at, seq, kind });
     }
 
-    /// Schedules `Timer { agent, token }` at `at`.
-    pub fn schedule_timer(&mut self, at: SimTime, agent: u32, token: u64) {
-        let seq = self.reserve_seq();
-        self.push_heap(at, seq, HeapKind::Timer { agent, token });
-    }
-
-    /// Schedules `Timer { agent, token }` at `(at, seq)`, where `seq` came
-    /// from [`EventQueue::reserve_seq`] and has not been used since. The
-    /// simulator's per-agent timer slot inserts its one pending event
-    /// this way (see the module docs, *Reserved sequence numbers*).
-    pub fn schedule_timer_reserved(&mut self, at: SimTime, seq: u64, agent: u32, token: u64) {
+    /// Schedules `Timer { agent }` at `(at, seq)`, where `seq` came from
+    /// [`EventQueue::reserve_seq`] and has not been used since. An
+    /// agent's timer queues its one event this way (see the module docs,
+    /// *Reserved sequence numbers*).
+    pub fn schedule_timer_reserved(&mut self, at: SimTime, seq: u64, agent: u32) {
         debug_assert!(seq < self.next_seq, "timer under an unreserved seq");
-        self.push_heap(at, seq, HeapKind::Timer { agent, token });
+        self.push_heap(at, seq, HeapKind::Timer { agent });
     }
 
     /// Schedules `Message { to, from, token }` at `at`.
@@ -636,11 +631,19 @@ impl EventQueue {
 mod tests {
     use super::*;
 
-    /// Drains `q`, returning each event's token (timers only).
-    fn tokens(q: &mut EventQueue) -> Vec<u64> {
+    /// Schedules a timer at `at` under a seq reserved for it, and
+    /// returns the seq.
+    fn timer(q: &mut EventQueue, at: u64) -> u64 {
+        let seq = q.reserve_seq();
+        q.schedule_timer_reserved(SimTime(at), seq, 0);
+        seq
+    }
+
+    /// Drains `q`, returning each event's seq (timers only).
+    fn seqs(q: &mut EventQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.pop_event())
             .map(|e| match e.kind {
-                PoppedKind::Timer { token, .. } => token,
+                PoppedKind::Timer { .. } => e.seq,
                 _ => unreachable!(),
             })
             .collect()
@@ -667,10 +670,9 @@ mod tests {
     #[test]
     fn pop_event_before_respects_deadline() {
         let mut q = EventQueue::new(0);
-        q.schedule_timer(SimTime(10), 0, 1);
-        q.schedule_timer(SimTime(20), 0, 2);
-        q.schedule_timer(SimTime(20), 0, 3);
-        q.schedule_timer(SimTime(30), 0, 4);
+        for at in [10, 20, 20, 30] {
+            timer(&mut q, at);
+        }
         assert!(q.pop_event_before(SimTime(5)).is_none());
         assert_eq!(q.pop_event_before(SimTime(20)).unwrap().at, SimTime(10));
         // Deadline is inclusive, ties still pop in insertion order.
@@ -686,19 +688,17 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new(0);
-        q.schedule_timer(SimTime(30), 0, 3);
-        q.schedule_timer(SimTime(10), 0, 1);
-        q.schedule_timer(SimTime(20), 0, 2);
-        assert_eq!(tokens(&mut q), vec![1, 2, 3]);
+        let s3 = timer(&mut q, 30);
+        let s1 = timer(&mut q, 10);
+        let s2 = timer(&mut q, 20);
+        assert_eq!(seqs(&mut q), vec![s1, s2, s3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new(0);
-        for token in 0..100 {
-            q.schedule_timer(SimTime(5), 0, token);
-        }
-        assert_eq!(tokens(&mut q), (0..100).collect::<Vec<_>>());
+        let inserted: Vec<u64> = (0..100).map(|_| timer(&mut q, 5)).collect();
+        assert_eq!(seqs(&mut q), inserted);
     }
 
     #[test]
@@ -716,8 +716,8 @@ mod tests {
             100_000_000,
             3_000_000_000, // seconds out
         ];
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_timer(SimTime(t), 0, i as u64);
+        for &t in &times {
+            timer(&mut q, t);
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop_event())
             .map(|e| e.at.0)
@@ -731,7 +731,7 @@ mod tests {
     fn len_and_is_empty() {
         let mut q = EventQueue::new(0);
         assert!(q.is_empty());
-        q.schedule_timer(SimTime(1), 0, 0);
+        timer(&mut q, 1);
         assert_eq!(q.len(), 1);
         q.pop_event();
         assert!(q.is_empty());
@@ -745,7 +745,7 @@ mod tests {
         for link in 0..40 {
             q.schedule_delivery(SimTime(10), LinkId(link), 0, pkt());
         }
-        q.schedule_timer(SimTime(5), 0, 0);
+        timer(&mut q, 5);
         assert!(q.capacity() >= 41, "counted {} slots", q.capacity());
     }
 
@@ -822,8 +822,8 @@ mod tests {
             #[test]
             fn total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
                 let mut q = EventQueue::new(0);
-                for (i, &t) in times.iter().enumerate() {
-                    q.schedule_timer(SimTime(t), 0, i as u64);
+                for &t in &times {
+                    timer(&mut q, t);
                 }
                 let mut prev: Option<(SimTime, u64)> = None;
                 while let Some(e) = q.pop_event() {

@@ -137,11 +137,6 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
 }
 
-/// The token [`Agent::on_timer`] receives when the agent's timer slot
-/// fires (see [`AgentCtx::rearm_timer`]). [`AgentCtx::set_timer`] must
-/// not use it.
-pub const SLOT_TOKEN: u64 = u64::MAX;
-
 /// Handle to an agent registered with a simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AgentId(pub usize);
@@ -162,11 +157,11 @@ pub trait Agent: Any {
     /// host.
     fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet);
 
-    /// A timer armed via [`AgentCtx::set_timer`] fired with its `token`,
-    /// or the timer slot armed via [`AgentCtx::rearm_timer`] fired with
-    /// [`SLOT_TOKEN`].
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        let _ = (ctx, token);
+    /// The agent's timer fired: the deadline last set by
+    /// [`AgentCtx::rearm_timer`] arrived without a cancel in between. The
+    /// timer is disarmed when this runs, so the handler may re-arm it.
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+        let _ = ctx;
     }
 
     /// Another agent sent a message via [`AgentCtx::send_message`].
@@ -181,8 +176,8 @@ pub struct SimStats {
     /// Events processed. A channel departure with no packet waiting
     /// behind it is not an event (see [`crate::event`]): `ChannelIdle`
     /// counts only the departures that a queued packet was waiting for.
-    /// Likewise a timer-slot re-arm is not an event; the slot's queued
-    /// event counts each time it pops, whether it fires, moves to a later
+    /// Likewise a timer re-arm is not an event; the timer's queued event
+    /// counts each time it pops, whether it fires, moves to a later
     /// deadline or is dropped (see [`AgentCtx::rearm_timer`]). Nor is
     /// a folded switch arrival, whose packet cut through onto the host
     /// edge at the arrival's key when its feeder put it on the wire (see
@@ -221,8 +216,8 @@ impl CutSample {
     }
 }
 
-/// An agent's re-armable timer (see [`AgentCtx::rearm_timer`]), as
-/// `(time, seq)` keys.
+/// An agent's one timer (see [`AgentCtx::rearm_timer`]), as `(time,
+/// seq)` keys.
 #[derive(Debug, Clone, Copy, Default)]
 struct TimerSlot {
     /// When the slot fires, under the seq its latest re-arm reserved;
@@ -268,7 +263,7 @@ struct SimCore {
     /// which agent receives packets of a given flow at this host.
     flow_tables: Vec<Vec<(FlowId, AgentId)>>,
     agent_hosts: Vec<NodeId>,
-    /// Per-agent timer slots, indexed by agent.
+    /// Each agent's one timer, indexed by agent.
     slots: Vec<TimerSlot>,
     stats: SimStats,
     /// Installed telemetry sink, if any. Emission sites gate on
@@ -513,12 +508,12 @@ impl SimCore {
             .schedule_delivery_reserved(arrival, seq, link, epoch, pkt);
     }
 
-    /// Handles `agent`'s slot event popping at the current `(now, seq)`
-    /// key and returns whether the slot fires (it is then cleared). An
-    /// event the slot no longer trusts is dropped, as is one whose
-    /// deadline was cancelled; one that pops before a later deadline is
-    /// re-inserted at it under the deadline's reserved seq. None of this
-    /// touches an RNG, a channel or an agent.
+    /// Handles `agent`'s timer event popping at the current `(now, seq)`
+    /// key and returns whether the timer fires (its slot is then
+    /// cleared). An event the slot no longer trusts is dropped, as is one
+    /// whose deadline was cancelled; one that pops before a later
+    /// deadline is re-inserted at it under the deadline's reserved seq.
+    /// None of this touches an RNG, a channel or an agent.
     fn slot_due(&mut self, agent: u32) -> bool {
         let key = (self.now, self.seq);
         let slot = &mut self.slots[agent as usize];
@@ -529,8 +524,7 @@ impl SimCore {
             Some((at, seq)) if (at, seq) != key => {
                 debug_assert!(key < (at, seq), "slot deadline before its event");
                 slot.pending = slot.deadline;
-                self.events
-                    .schedule_timer_reserved(at, seq, agent, SLOT_TOKEN);
+                self.events.schedule_timer_reserved(at, seq, agent);
                 false
             }
             deadline => {
@@ -692,26 +686,14 @@ impl AgentCtx<'_> {
         self.core.forward(host, LinkId::NONE, pkt);
     }
 
-    /// Arms a timer to fire `after` from now with an opaque `token`
-    /// (anything but [`SLOT_TOKEN`]). Timers cannot be cancelled: every
-    /// call queues an event that fires. A deadline that keeps moving (a
-    /// retransmission timeout, as the TCP RTO is) belongs in the timer
-    /// slot instead ([`AgentCtx::rearm_timer`]).
-    pub fn set_timer(&mut self, after: SimDuration, token: u64) {
-        debug_assert_ne!(token, SLOT_TOKEN, "set_timer with the slot's token");
-        let at = self.core.now.saturating_add(after);
-        self.core.events.schedule_timer(at, self.id.0 as u32, token);
-    }
-
-    /// Arms this agent's timer slot to fire `after` from now, replacing
-    /// any earlier deadline; [`Agent::on_timer`] then receives
-    /// [`SLOT_TOKEN`]. The slot fires at exactly the `(time, seq)` key a
-    /// `set_timer(after, _)` call here would have given its event, so
-    /// swapping a generation-checked `set_timer` for the slot moves no
-    /// event in the pop order. But the slot keeps at most one event
-    /// queued: a re-arm reserves a seq for the new deadline and schedules
-    /// an event only when the deadline moves earlier than the queued one.
-    /// An event that pops before the deadline moves to it.
+    /// Arms this agent's timer to fire `after` from now, replacing any
+    /// earlier deadline; [`Agent::on_timer`] runs then. An agent has this
+    /// one timer, and it keeps at most one event queued. A re-arm
+    /// reserves a seq for the new deadline and schedules an event under
+    /// it when none is queued or the deadline moves earlier than the
+    /// queued one. An event that pops before the deadline moves to it. So
+    /// the timer fires at exactly the `(time, seq)` key an event scheduled
+    /// by the latest re-arm would have had.
     pub fn rearm_timer(&mut self, after: SimDuration) {
         let at = self.core.now.saturating_add(after);
         let seq = self.core.events.reserve_seq();
@@ -722,11 +704,11 @@ impl AgentCtx<'_> {
             slot.pending = slot.deadline;
             self.core
                 .events
-                .schedule_timer_reserved(at, seq, agent as u32, SLOT_TOKEN);
+                .schedule_timer_reserved(at, seq, agent as u32);
         }
     }
 
-    /// Disarms this agent's timer slot; a no-op when it is not armed.
+    /// Disarms this agent's timer; a no-op when it is not armed.
     pub fn cancel_timer(&mut self) {
         self.core.slots[self.id.0].deadline = None;
     }
@@ -1180,11 +1162,10 @@ impl Simulator {
                     },
                 }
             }
-            PoppedKind::Timer { agent, token } => {
-                if token == SLOT_TOKEN && !self.core.slot_due(agent) {
-                    return;
+            PoppedKind::Timer { agent } => {
+                if self.core.slot_due(agent) {
+                    self.with_agent(agent as usize, |a, ctx| a.on_timer(ctx));
                 }
-                self.with_agent(agent as usize, |a, ctx| a.on_timer(ctx, token));
             }
             PoppedKind::Message { to, from, token } => {
                 self.with_agent(to as usize, |a, ctx| {
@@ -1222,6 +1203,7 @@ mod tests {
     use crate::queue::QueueKind;
     use crate::topology::TopologyBuilder;
     use mltcp_telemetry::profiler::SAMPLE_STRIDE;
+    use proptest::prelude::*;
 
     /// Sends `pkts` MTU packets at start; counts echoes back.
     struct Pinger {
@@ -1501,10 +1483,10 @@ mod tests {
         impl Agent for LateSender {
             fn start(&mut self, ctx: &mut AgentCtx<'_>) {
                 // Send while the link is down (armed below at 50 µs).
-                ctx.set_timer(SimDuration::micros(50), 1);
+                ctx.rearm_timer(SimDuration::micros(50));
             }
             fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
-            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
                 let me = ctx.node();
                 for i in 0..3u64 {
                     ctx.send(Packet::data(self.flow, me, self.peer, i * 1500, 1500));
@@ -1757,15 +1739,15 @@ mod tests {
                 // The timer's seq sorts before or after the departure seq
                 // that sending reserves.
                 if self.timer_first {
-                    ctx.set_timer(self.tie, 0);
+                    ctx.rearm_timer(self.tie);
                 }
                 ctx.send(Packet::data(FlowId(1), me, self.peer, 0, 1000).with_priority(1000));
                 if !self.timer_first {
-                    ctx.set_timer(self.tie, 0);
+                    ctx.rearm_timer(self.tie);
                 }
             }
             fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
-            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
                 let me = ctx.node();
                 ctx.send(Packet::data(FlowId(1), me, self.peer, 1000, 1000).with_priority(1000));
                 ctx.send(Packet::data(FlowId(2), me, self.peer, 2000, 1000).with_priority(1));
@@ -1844,12 +1826,12 @@ mod tests {
         }
         impl Agent for SelfSender {
             fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-                ctx.set_timer(SimDuration::micros(100), 1);
+                ctx.rearm_timer(SimDuration::micros(100));
             }
             fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {
                 self.received += 1;
             }
-            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _token: u64) {
+            fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
                 let me = ctx.node();
                 for i in 0..3u64 {
                     ctx.send(Packet::data(self.flow, me, me, i * 1500, 1500));
@@ -1891,19 +1873,21 @@ mod tests {
         assert_eq!(rec.events(), [drop; 3]);
     }
 
+    /// Arms its timer for 5 ms and at once re-arms it for 1 ms; re-arms
+    /// it for 10 ms when it first fires.
     struct TimerAgent {
-        fired: Vec<(u64, SimTime)>,
+        fired: Vec<SimTime>,
     }
     impl Agent for TimerAgent {
         fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-            ctx.set_timer(SimDuration::millis(5), 1);
-            ctx.set_timer(SimDuration::millis(1), 2);
+            ctx.rearm_timer(SimDuration::millis(5));
+            ctx.rearm_timer(SimDuration::millis(1));
         }
         fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
-        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-            self.fired.push((token, ctx.now()));
-            if token == 2 {
-                ctx.set_timer(SimDuration::millis(10), 3);
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.fired.push(ctx.now());
+            if self.fired.len() == 1 {
+                ctx.rearm_timer(SimDuration::millis(10));
             }
         }
     }
@@ -1913,19 +1897,17 @@ mod tests {
         let (mut sim, h0, _h1) = two_host_sim(Bandwidth::gbps(10), SimDuration::micros(5), 0.0);
         let a = sim.add_agent(h0, TimerAgent { fired: vec![] });
         sim.run();
+        // The 5 ms deadline was replaced before it came: the timer fires
+        // at 1 ms and, re-armed there, 10 ms later.
         let fired = &sim.agent::<TimerAgent>(a).fired;
-        assert_eq!(
-            fired,
-            &vec![
-                (2, SimTime(1_000_000)),
-                (1, SimTime(5_000_000)),
-                (3, SimTime(11_000_000)),
-            ]
-        );
+        assert_eq!(fired, &vec![SimTime(1_000_000), SimTime(11_000_000)]);
+        // The 5 ms event was queued before the earlier re-arm; it pops
+        // and is dropped.
+        assert_eq!(sim.stats().events, 3);
     }
 
-    /// Sends `pkts` packets at start and re-arms a 1 ms timer slot on
-    /// every echo; records each re-arm and each time the slot fires.
+    /// Sends `pkts` packets at start and re-arms its timer for 1 ms on
+    /// every echo; records each re-arm and each time the timer fires.
     struct Watchdog {
         peer: NodeId,
         pkts: u32,
@@ -1945,8 +1927,7 @@ mod tests {
             self.rearms.push(ctx.now());
             ctx.rearm_timer(SimDuration::millis(1));
         }
-        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-            assert_eq!(token, SLOT_TOKEN);
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
             self.fired.push(ctx.now());
         }
     }
@@ -2012,6 +1993,151 @@ mod tests {
         );
     }
 
+    impl AgentCtx<'_> {
+        /// The pattern the timer slot replaced: every re-arm queues an
+        /// event under the seq it reserves, and the slot trusts only the
+        /// latest, so [`SimCore::slot_due`] drops each stale event as a
+        /// generation token once did.
+        fn rearm_timer_eager(&mut self, after: SimDuration) {
+            let at = self.core.now.saturating_add(after);
+            let seq = self.core.events.reserve_seq();
+            let agent = self.id.0;
+            let slot = &mut self.core.slots[agent];
+            slot.deadline = Some((at, seq));
+            slot.pending = slot.deadline;
+            self.core
+                .events
+                .schedule_timer_reserved(at, seq, agent as u32);
+        }
+    }
+
+    /// One step of a scripted timer workload (see [`Actor`]).
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        /// Move the deadline to `after` ns from now (earlier or later).
+        Rearm(u64),
+        /// Disarm the deadline.
+        Cancel,
+        /// A message to self, delivered at the current instant.
+        Message(u64),
+        /// A packet to the peer host, which echoes it back.
+        Send,
+    }
+
+    /// What an [`Actor`] saw: one entry per callback, `(now, kind,
+    /// token)`. Kinds: 0 start, 1 deadline, 2 message, 3 packet (token is
+    /// the ack number).
+    type Log = Vec<(u64, u8, u64)>;
+
+    /// Runs one group of [`Act`]s per callback, in script order, and logs
+    /// every callback. Two actors with the same script must log the same
+    /// callbacks whether they re-arm eagerly or through the slot.
+    struct Actor {
+        peer: NodeId,
+        eager: bool,
+        script: Vec<Vec<Act>>,
+        next: usize,
+        sent: u64,
+        log: Log,
+    }
+
+    impl Actor {
+        fn callback(&mut self, ctx: &mut AgentCtx<'_>, kind: u8, token: u64) {
+            self.log.push((ctx.now().as_nanos(), kind, token));
+            let Some(group) = self.script.get(self.next).cloned() else {
+                return;
+            };
+            self.next += 1;
+            for act in group {
+                match act {
+                    Act::Rearm(after) if self.eager => {
+                        ctx.rearm_timer_eager(SimDuration::nanos(after));
+                    }
+                    Act::Rearm(after) => ctx.rearm_timer(SimDuration::nanos(after)),
+                    Act::Cancel => ctx.cancel_timer(),
+                    Act::Message(token) => {
+                        let me = ctx.id();
+                        ctx.send_message(me, token);
+                    }
+                    Act::Send => {
+                        let me = ctx.node();
+                        ctx.send(Packet::data(FlowId(1), me, self.peer, self.sent * 100, 100));
+                        self.sent += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    impl Agent for Actor {
+        fn start(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.callback(ctx, 0, 0);
+        }
+        fn on_packet(&mut self, ctx: &mut AgentCtx<'_>, pkt: Packet) {
+            if let SegmentHeader::Ack { cum_ack, .. } = pkt.header {
+                self.callback(ctx, 3, cum_ack);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.callback(ctx, 1, 0);
+        }
+        fn on_message(&mut self, ctx: &mut AgentCtx<'_>, _from: AgentId, token: u64) {
+            self.callback(ctx, 2, token);
+        }
+    }
+
+    /// Runs `script` with eager or slot re-arms and returns the log.
+    fn run_actor(script: &[Vec<Act>], eager: bool) -> Log {
+        // A 140-byte data packet takes 1120 ns on the wire at 1 Gbps, so it
+        // arrives three steps of the scripted timers' 560 ns grid after it
+        // is sent.
+        let (mut sim, h0, h1) = two_host_sim(Bandwidth::gbps(1), SimDuration::nanos(560), 0.0);
+        let actor = sim.add_agent(
+            h0,
+            Actor {
+                peer: h1,
+                eager,
+                script: script.to_vec(),
+                next: 0,
+                sent: 0,
+                log: Vec::new(),
+            },
+        );
+        let echo = sim.add_agent(h1, Echoer { received: 0 });
+        sim.bind_flow(FlowId(1), actor);
+        sim.bind_flow(FlowId(1), echo);
+        sim.run();
+        std::mem::take(&mut sim.agent_mut::<Actor>(actor).log)
+    }
+
+    fn act() -> impl Strategy<Value = Act> {
+        // Multiples of 560 ns make same-nanosecond ties common.
+        prop_oneof![
+            4 => (0u64..12).prop_map(|k| Act::Rearm(k * 560)),
+            1 => Just(Act::Cancel),
+            1 => (0u64..1000).prop_map(Act::Message),
+            2 => Just(Act::Send),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The timer slot against the pattern it replaced: from one random
+        /// script of re-arms (moving the deadline earlier and later),
+        /// cancels, cancel-then-rearm, messages and packets on shared
+        /// nanoseconds, both actors see every callback in the same order
+        /// at the same instant.
+        #[test]
+        fn timer_slot_matches_eager_timers(
+            script in proptest::collection::vec(proptest::collection::vec(act(), 0..4), 1..60),
+        ) {
+            let eager = run_actor(&script, true);
+            let slot = run_actor(&script, false);
+            prop_assert_eq!(eager, slot);
+        }
+    }
+
     struct Caller {
         callee: Option<AgentId>,
         replies: u32,
@@ -2057,7 +2183,8 @@ mod tests {
 
     /// A mix with every event kind: a lossy ping flow through a link
     /// flap and a bursty-loss window (deliveries, departures, faults), a
-    /// re-armed timer slot, one-shot timers and a message round trip.
+    /// timer re-armed on every echo, a timer re-armed before and when it
+    /// fires, and a message round trip.
     /// Runs in two `run_until` slices, then to the end, and returns the
     /// simulator with everything its agents observed.
     fn profiled_mix(profiled: bool) -> (Simulator, impl PartialEq + std::fmt::Debug) {

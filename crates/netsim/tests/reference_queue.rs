@@ -76,15 +76,16 @@ enum Reserved {
     /// A departure of the link (`schedule_departure`), as the simulator
     /// reserves when a packet starts serializing.
     Departure(LinkId),
-    /// A timer of the agent (`schedule_timer_reserved`), as a timer-slot
-    /// re-arm reserves; its token is the seq.
+    /// A timer of the agent (`schedule_timer_reserved`), as a re-arm
+    /// reserves when its deadline is later than the event it has queued.
     Timer(u32),
 }
 
 /// One step of a schedule/pop interleaving.
 enum Op {
     /// A timer, message, fault or delivery under a fresh seq, through
-    /// its typed entry point.
+    /// its typed entry point. A timer reserves its seq and is inserted
+    /// under it at once, as a re-arm with no event queued is.
     Schedule(SimTime, PoppedKind),
     /// Reserves a seq for an event at the given time.
     Reserve(SimTime, Reserved),
@@ -220,9 +221,8 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> Both {
                     }
                     (at, seq, Reserved::Timer(agent)) => {
                         open.remove(i);
-                        let token = seq;
-                        b.r.insert(at, seq, &PoppedKind::Timer { agent, token });
-                        b.q.schedule_timer_reserved(at, seq, agent, token);
+                        b.r.insert(at, seq, &PoppedKind::Timer { agent });
+                        b.q.schedule_timer_reserved(at, seq, agent);
                     }
                 }
             }
@@ -240,7 +240,10 @@ fn run_both(ops: impl IntoIterator<Item = Op>) -> Both {
                 b.r.schedule(at, &kind);
                 let q = &mut b.q;
                 match kind {
-                    PoppedKind::Timer { agent, token } => q.schedule_timer(at, agent, token),
+                    PoppedKind::Timer { agent } => {
+                        let seq = q.reserve_seq();
+                        q.schedule_timer_reserved(at, seq, agent);
+                    }
                     PoppedKind::Message { to, from, token } => {
                         q.schedule_message(at, to, from, token)
                     }
@@ -322,12 +325,12 @@ fn queue_pops_like_the_reference_on_mixed_traffic() {
             }
             5 if op & 16 == 0 => Op::Schedule(
                 SimTime(t + 50_000_000), // tens of ms ahead
-                PoppedKind::Timer { agent: 0, token: i },
+                PoppedKind::Timer { agent: 0 },
             ),
             // Timer reservations, some ms ahead, inserted by a later
             // `Insert`.
             5 => Op::Reserve(SimTime(t + r % 20_000_000), Reserved::Timer(1)),
-            6 if op & 16 == 0 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
+            6 if op & 16 == 0 => Op::Schedule(at, PoppedKind::Timer { agent: 0 }),
             6 => Op::Reserve(at, Reserved::Timer(1)),
             _ if filling => Op::Schedule(SimTime(t), delivery(link, i * 100)),
             _ if op & 8 == 0 => Op::PopBefore(SimTime::MAX),
@@ -377,7 +380,7 @@ proptest! {
             let i = i as u64;
             let link = LinkId(link);
             match op {
-                0..=2 => Op::Schedule(at, PoppedKind::Timer { agent: 0, token: i }),
+                0..=2 => Op::Schedule(at, PoppedKind::Timer { agent: 0 }),
                 3 => Op::Schedule(at, PoppedKind::Fault { index: i as u32 }),
                 4..=6 => Op::Schedule(at, delivery(link, i)),
                 7 => Op::Schedule(at, PoppedKind::Message { to: 0, from: 1, token: i }),

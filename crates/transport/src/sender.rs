@@ -15,7 +15,7 @@ use crate::proto::{self, Msg};
 use crate::rtt::RttEstimator;
 use mltcp_netsim::node::NodeId;
 use mltcp_netsim::packet::{EcnCodepoint, FlowId, Packet, SegmentHeader};
-use mltcp_netsim::sim::{Agent, AgentCtx, AgentId, SLOT_TOKEN};
+use mltcp_netsim::sim::{Agent, AgentCtx, AgentId};
 use mltcp_netsim::time::{SimDuration, SimTime};
 use mltcp_telemetry::{RetxKind, TelemetryEvent};
 use std::collections::VecDeque;
@@ -284,8 +284,8 @@ impl TcpSender {
         self.emit_cwnd(ctx);
     }
 
-    /// (Re)starts the RTO. Runs on every advancing ack, so it uses the
-    /// timer slot, which queues no event per call.
+    /// (Re)starts the RTO. Runs on every advancing ack; a re-arm queues
+    /// no event while an earlier one is queued.
     fn arm_rto(&mut self, ctx: &mut AgentCtx<'_>) {
         self.rto_armed = true;
         ctx.rearm_timer(self.rtt.rto());
@@ -491,10 +491,9 @@ impl Agent for TcpSender {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        // The RTO is the sender's only timer, and the slot fires only
-        // while it is armed.
-        debug_assert!(token == SLOT_TOKEN && self.rto_armed);
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+        // The timer is the RTO, and it fires only while armed.
+        debug_assert!(self.rto_armed);
         if self.snd_una >= self.stream_end {
             self.rto_armed = false;
             return;

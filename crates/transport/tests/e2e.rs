@@ -238,10 +238,6 @@ struct IterDriver {
     current_start: SimTime,
 }
 
-impl IterDriver {
-    const TIMER_NEXT: u64 = 1;
-}
-
 impl Agent for IterDriver {
     fn start(&mut self, ctx: &mut AgentCtx<'_>) {
         self.current_start = ctx.now();
@@ -259,21 +255,19 @@ impl Agent for IterDriver {
             self.iteration_spans.push((self.current_start, ctx.now()));
             self.iters_left -= 1;
             if self.iters_left > 0 {
-                ctx.set_timer(self.compute_gap, Self::TIMER_NEXT);
+                ctx.rearm_timer(self.compute_gap);
             }
         }
     }
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        if token == Self::TIMER_NEXT {
-            self.current_start = ctx.now();
-            let s = self.sender.expect("wired");
-            ctx.send_message(
-                s,
-                proto::encode(Msg::StartTransfer {
-                    bytes: self.bytes_per_iter,
-                }),
-            );
-        }
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+        self.current_start = ctx.now();
+        let s = self.sender.expect("wired");
+        ctx.send_message(
+            s,
+            proto::encode(Msg::StartTransfer {
+                bytes: self.bytes_per_iter,
+            }),
+        );
     }
 }
 

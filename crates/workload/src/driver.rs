@@ -89,9 +89,6 @@ pub struct JobDriver {
 }
 
 impl JobDriver {
-    const TIMER_BEGIN: u64 = 1;
-    const TIMER_COMPUTE_DONE: u64 = 2;
-
     /// Creates a driver. Wire its senders afterwards with
     /// [`JobDriver::wire_senders`] (the driver must be registered first so
     /// senders can carry its [`AgentId`] in their config). `noise_seed`
@@ -209,7 +206,7 @@ impl JobDriver {
                     self.restart_fired = true;
                     self.restart_resume = Some((self.iter_index, ctx.now() + rs.outage));
                     self.phase = Phase::Pending;
-                    ctx.set_timer(rs.outage, Self::TIMER_BEGIN);
+                    ctx.rearm_timer(rs.outage);
                     return;
                 }
             }
@@ -232,7 +229,7 @@ impl JobDriver {
             let planned = SimTime(off_ns + k * pace_ns);
             if ctx.now() < planned {
                 self.phase = Phase::Pending;
-                ctx.set_timer(planned - ctx.now(), Self::TIMER_BEGIN);
+                ctx.rearm_timer(planned - ctx.now());
                 return;
             }
         }
@@ -249,7 +246,7 @@ impl JobDriver {
 
     fn begin_compute_slice(&mut self, ctx: &mut AgentCtx<'_>, burst_idx: u32) {
         self.phase = Phase::Computing { burst_idx };
-        ctx.set_timer(self.compute_slice, Self::TIMER_COMPUTE_DONE);
+        ctx.rearm_timer(self.compute_slice);
     }
 
     /// Bytes of sub-burst `idx` for one flow (the last burst absorbs the
@@ -290,27 +287,21 @@ impl JobDriver {
 
 impl Agent for JobDriver {
     fn start(&mut self, ctx: &mut AgentCtx<'_>) {
-        ctx.set_timer(self.spec.start_offset, Self::TIMER_BEGIN);
+        ctx.rearm_timer(self.spec.start_offset);
     }
 
     fn on_packet(&mut self, _ctx: &mut AgentCtx<'_>, _pkt: Packet) {}
 
-    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        match token {
-            Self::TIMER_BEGIN => {
-                if matches!(self.phase, Phase::Pending) {
-                    // Clear Pending so a re-armed pacing timer can't
-                    // double-start (begin_iteration may re-enter Pending).
-                    self.phase = Phase::Computing { burst_idx: 0 };
-                    self.begin_iteration(ctx);
-                }
+    /// The timer is armed only while the driver waits: `Pending` for its
+    /// start offset, pacing slot or restart outage, `Computing` for a
+    /// compute slice.
+    fn on_timer(&mut self, ctx: &mut AgentCtx<'_>) {
+        match self.phase {
+            Phase::Pending => self.begin_iteration(ctx),
+            Phase::Computing { burst_idx } => self.begin_burst(ctx, burst_idx),
+            Phase::Communicating { .. } | Phase::Finished => {
+                unreachable!("the driver's timer fired while it was not waiting")
             }
-            Self::TIMER_COMPUTE_DONE => {
-                if let Phase::Computing { burst_idx } = self.phase {
-                    self.begin_burst(ctx, burst_idx);
-                }
-            }
-            _ => {}
         }
     }
 

@@ -548,6 +548,48 @@ mod tests {
         assert_eq!(sc.iterations_to_reinterleave(0, 0.10), Some(0));
     }
 
+    /// A paced job starts every iteration on its grid `start_offset + k ×
+    /// pace`, at the first grid point at or after the previous
+    /// iteration's end: one that overran its slot waits for the next.
+    #[test]
+    fn paced_iterations_start_on_the_grid() {
+        let rate = models::paper_bottleneck();
+        let offset = SimDuration::micros(300);
+        // The grid index of each iteration's start, for a pace of
+        // `pace_frac` ideal periods.
+        let slots = |pace_frac: f64| {
+            let spec = models::gpt2(rate, 1e-3, 6).with_offset(offset);
+            let pace =
+                SimDuration::from_secs_f64(spec.ideal_period(rate).as_secs_f64() * pace_frac);
+            let mut sc = ScenarioBuilder::new(29)
+                .job(spec.with_pace(pace), CongestionSpec::Reno)
+                .build();
+            sc.run(SimTime::from_secs_f64(1.0));
+            assert!(sc.all_finished());
+            let recs = sc.sim.agent::<JobDriver>(sc.jobs[0].driver).records();
+            let (off, p) = (offset.as_nanos(), pace.as_nanos());
+            assert_eq!(recs[0].start, SimTime(off));
+            for w in recs.windows(2) {
+                let first = off + (w[0].end.as_nanos() - off).div_ceil(p) * p;
+                assert_eq!(
+                    w[1].start,
+                    SimTime(first),
+                    "iteration {} after an end at {:?}",
+                    w[1].index,
+                    w[0].end
+                );
+            }
+            recs.iter()
+                .map(|r| (r.start.as_nanos() - off) / p)
+                .collect::<Vec<_>>()
+        };
+        // The first iteration ramps up from slow start, overruns its slot
+        // and waits for the next grid point; the rest fit theirs.
+        assert_eq!(slots(1.25), [0, 2, 3, 4, 5, 6]);
+        // Every iteration overruns its slot and skips a grid point.
+        assert_eq!(slots(0.75), [0, 2, 4, 6, 8, 10]);
+    }
+
     #[test]
     fn bottleneck_fault_perturbs_but_job_completes() {
         let rate = models::paper_bottleneck();
